@@ -17,6 +17,7 @@ from .dist import (
     Poisson,
     ZeroInflated,
     log_pmf,
+    log_pmf_array,
     make_hurdle,
     make_zero_inflated,
     moments,

@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -47,9 +46,13 @@ def read_frequency_file(path: str) -> tuple[FrequencySample, str]:
     digest = hashlib.sha256(raw).hexdigest()
     freq: dict[int, int] = {}
     last = -1
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     rows = [
         line.strip()
-        for line in raw.decode("utf-8").splitlines()
+        for line in text.splitlines()
         if line.strip() and not line.strip().startswith("#")
     ]
     for i, line in enumerate(rows):
@@ -252,9 +255,9 @@ def cmd_figure(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = parse_model_spec(args.model)
-    counts = sample(model, args.n, args.seed)
-    hist = Counter(int(c) for c in counts)
-    lines = ["count,frequency"] + [f"{y},{hist[y]}" for y in sorted(hist)]
+    s = summarize(sample(model, args.n, args.seed))
+    rows = zip(s.counts.tolist(), s.freqs.tolist())
+    lines = ["count,frequency"] + [f"{y},{f}" for y, f in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -12,8 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+from scipy.special import gammaln
+
 from .errors import InvalidModelError, ParameterBoundError
-from .specfn import ln_gamma
 
 __all__ = [
     "Poisson",
@@ -26,6 +28,7 @@ __all__ = [
     "Moments",
     "pmf",
     "log_pmf",
+    "log_pmf_array",
     "pgf",
     "moments",
     "make_zero_inflated",
@@ -132,49 +135,58 @@ def make_hurdle(base: BaseModel, pi: float) -> Hurdle:
     return Hurdle(pi=pi, base=base)
 
 
-def log_pmf(model: CountModel, y: int) -> float:
-    """ln P(Y=y); returns -inf where the pmf is exactly zero."""
-    if y < 0:
-        raise InvalidModelError(f"count must be >= 0, got {y!r}")
+def log_pmf_array(model: CountModel, ys) -> np.ndarray:
+    """ln P(Y=y) for each count in ``ys``; -inf where the pmf is exactly zero.
+
+    ``ys`` holds non-negative integers (any integer or float dtype). This is
+    the one definition of each family's pmf; ``log_pmf`` and ``pmf`` wrap it.
+    """
+    y = np.asarray(ys, dtype=np.float64)
     if isinstance(model, Poisson):
         if model.mean == 0.0:
-            return 0.0 if y == 0 else _NEG_INF
-        return y * math.log(model.mean) - model.mean - ln_gamma(y + 1.0)
+            return _point_mass_at_zero(y)
+        return y * math.log(model.mean) - model.mean - gammaln(y + 1.0)
     if isinstance(model, Geometric):
         if model.p == 1.0:
-            return 0.0 if y == 0 else _NEG_INF
+            return _point_mass_at_zero(y)
         return math.log(model.p) + y * math.log1p(-model.p)
     if isinstance(model, NegBinomial):
         p, k = model.p, model.k
         if p == 1.0:
-            return 0.0 if y == 0 else _NEG_INF
+            return _point_mass_at_zero(y)
         return (
-            ln_gamma(y + k)
-            - ln_gamma(y + 1.0)
-            - ln_gamma(k)
+            gammaln(y + k)
+            - gammaln(y + 1.0)
+            - gammaln(k)
             + k * math.log(p)
             + y * math.log1p(-p)
         )
     if isinstance(model, ZeroInflated):
         pi = model.pi
-        if y == 0:
-            p0 = pmf(model.base, 0)
-            mass = pi + (1.0 - pi) * p0
-            return math.log(mass) if mass > 0.0 else _NEG_INF
+        mass0 = pi + (1.0 - pi) * pmf(model.base, 0)
+        at0 = math.log(mass0) if mass0 > 0.0 else _NEG_INF
         if pi >= 1.0:
-            return _NEG_INF
-        return math.log1p(-pi) + log_pmf(model.base, y)
+            return np.where(y == 0, at0, _NEG_INF)
+        return np.where(y == 0, at0, math.log1p(-pi) + log_pmf_array(model.base, y))
     if isinstance(model, Hurdle):
         pi = model.pi
-        if y == 0:
-            return math.log(pi) if pi > 0.0 else _NEG_INF
+        at0 = math.log(pi) if pi > 0.0 else _NEG_INF
         if pi >= 1.0:
-            return _NEG_INF
-        base_lp = log_pmf(model.base, y)
-        if base_lp == _NEG_INF:
-            return _NEG_INF
-        return math.log1p(-pi) + base_lp - math.log1p(-pmf(model.base, 0))
+            return np.where(y == 0, at0, _NEG_INF)
+        lp = math.log1p(-pi) + log_pmf_array(model.base, y) - math.log1p(-pmf(model.base, 0))
+        return np.where(y == 0, at0, lp)
     raise InvalidModelError(f"unknown model type {type(model).__name__}")
+
+
+def _point_mass_at_zero(y: np.ndarray) -> np.ndarray:
+    return np.where(y == 0, 0.0, _NEG_INF)
+
+
+def log_pmf(model: CountModel, y: int) -> float:
+    """ln P(Y=y); returns -inf where the pmf is exactly zero."""
+    if y < 0:
+        raise InvalidModelError(f"count must be >= 0, got {y!r}")
+    return float(log_pmf_array(model, y))
 
 
 def pmf(model: CountModel, y: int) -> float:

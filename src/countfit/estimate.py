@@ -12,6 +12,8 @@ import math
 import warnings
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 from scipy import special as _sp
@@ -23,7 +25,7 @@ from .dist import (
     NegBinomial,
     Poisson,
     ZeroInflated,
-    log_pmf,
+    log_pmf_array,
 )
 from .errors import (
     AllZerosError,
@@ -54,18 +56,22 @@ _BRACKET_CAP = 1e8
 _BRACKET_FLOOR = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencySample:
     """Histogram summary of a count sample.
 
-    ``freq`` maps count -> frequency. It may be None for samples specified
-    only through (n, n0, mean), which is all the closed-form estimators
-    need; operations that require the full histogram raise in that case.
-    Variance uses denominator n (population convention, matching the
-    method-of-moments formulas).
+    ``counts`` holds the distinct observed counts in ascending order and
+    ``freqs`` their (positive) frequencies, as aligned read-only int64
+    arrays; every full-table operation works on these in O(distinct
+    counts). Both are None for samples specified only through (n, n0,
+    mean), which is all the closed-form estimators need; operations that
+    require the full histogram raise in that case. Variance uses
+    denominator n (population convention, matching the method-of-moments
+    formulas).
     """
 
-    freq: Mapping[int, int] | None
+    counts: np.ndarray | None
+    freqs: np.ndarray | None
     n: int
     n0: int
     mean: float
@@ -79,36 +85,91 @@ class FrequencySample:
             raise EstimationError(
                 f"inconsistent summary: n={n!r}, n0={n0!r}, mean={mean!r}"
             )
-        return cls(freq=None, n=n, n0=n0, mean=mean, var=var)
+        return cls(counts=None, freqs=None, n=n, n0=n0, mean=mean, var=var)
+
+    @cached_property
+    def freq(self) -> Mapping[int, int] | None:
+        """Read-only count -> frequency mapping, built on first use."""
+        if self.counts is None:
+            return None
+        return MappingProxyType(dict(zip(self.counts.tolist(), self.freqs.tolist())))
 
     def counts_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct counts and their frequencies as aligned arrays."""
-        if self.freq is None:
+        if self.counts is None:
             raise EstimationError("operation requires the full frequency table")
-        ys = np.array(sorted(self.freq), dtype=np.float64)
-        fs = np.array([self.freq[int(y)] for y in ys], dtype=np.float64)
-        return ys, fs
+        return self.counts, self.freqs
 
 
 def summarize(data: Iterable[int] | Mapping[int, int]) -> FrequencySample:
-    """Build a FrequencySample from raw counts or a count->frequency map."""
+    """Build a FrequencySample from raw counts or a count->frequency map.
+
+    Raw counts (a numpy array, list or any iterable) are tallied with
+    ``np.bincount``, or by sorting when the largest count is large relative
+    to the number of values, so ingest is O(n) over the values and every
+    later operation is O(distinct counts).
+    """
     if isinstance(data, Mapping):
-        freq = {int(y): int(f) for y, f in data.items() if f != 0}
+        counts, freqs = _from_map(data)
     else:
-        freq = {}
-        for y in data:
-            freq[int(y)] = freq.get(int(y), 0) + 1
-    if not freq:
+        counts, freqs = _tally(_values(data))
+    if counts.size == 0:
         raise EstimationError("empty sample")
-    if any(y < 0 for y in freq):
+    if counts[0] < 0:
         raise EstimationError("negative counts are not allowed")
-    if any(f < 0 for f in freq.values()):
+    if freqs.min() < 0:
         raise EstimationError("negative frequencies are not allowed")
-    n = sum(freq.values())
-    total = sum(y * f for y, f in freq.items())
-    mean = total / n
-    var = sum(f * (y - mean) ** 2 for y, f in freq.items()) / n
-    return FrequencySample(freq=freq, n=n, n0=freq.get(0, 0), mean=mean, var=var)
+    counts.flags.writeable = False
+    freqs.flags.writeable = False
+    ys, fs = counts.tolist(), freqs.tolist()
+    n = sum(fs)
+    mean = sum(y * f for y, f in zip(ys, fs)) / n  # exact integer total
+    dev = counts - mean
+    var = float(np.sum(freqs * (dev * dev))) / n
+    n0 = fs[0] if ys[0] == 0 else 0
+    return FrequencySample(counts=counts, freqs=freqs, n=n, n0=n0, mean=mean, var=var)
+
+
+def _from_map(data: Mapping[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending counts and their nonzero frequencies from a count map."""
+    try:
+        items = sorted((int(y), int(f)) for y, f in data.items() if f != 0)
+        counts = np.array([y for y, _ in items], dtype=np.int64)
+        freqs = np.array([f for _, f in items], dtype=np.int64)
+    except OverflowError as exc:
+        raise EstimationError("counts and frequencies must be below 2**63") from exc
+    except (TypeError, ValueError) as exc:
+        raise EstimationError(f"count map entries must be integers: {exc}") from exc
+    if np.any(counts[1:] == counts[:-1]):
+        raise EstimationError("count map has duplicate counts")
+    return counts, freqs
+
+
+def _values(data: Iterable[int]) -> np.ndarray:
+    """Raw counts as a flat int64 array; int() semantics for other types."""
+    try:
+        values = data if isinstance(data, np.ndarray) else list(data)
+        arr = np.asarray(values)
+        if not np.can_cast(arr.dtype, np.int64):
+            arr = np.array([int(v) for v in values], dtype=np.int64)
+    except OverflowError as exc:
+        raise EstimationError("counts must be below 2**63") from exc
+    except (TypeError, ValueError) as exc:
+        raise EstimationError(f"counts must be integers: {exc}") from exc
+    if arr.ndim != 1:
+        raise EstimationError("counts must be a flat sequence")
+    return arr.astype(np.int64, copy=False)
+
+
+def _tally(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending distinct values and their frequencies."""
+    # bincount allocates max+1 cells; past a few cells per value, sorting
+    # is cheaper and bounded by the input's size
+    if values.size and values.min() >= 0 and values.max() <= 4 * values.size + 1024:
+        table = np.bincount(values)
+        counts = np.flatnonzero(table)
+        return counts, table[counts]
+    return np.unique(values, return_counts=True)
 
 
 @dataclass(frozen=True)
@@ -149,13 +210,13 @@ def _xlogy(x: float, y: float) -> float:
 def loglik(model: CountModel, s: FrequencySample) -> float:
     """Log-likelihood of the sample under the model.
 
-    With a full histogram this is the direct sum of freq * log_pmf. For
+    With a full histogram this is the direct sum of freqs * log_pmf_array. For
     summary-only samples the structured forms (functions of n, n0 and the
     mean alone) are used; they exist for the geometric family and its
     zero-inflated/hurdle compounds.
     """
-    if s.freq is not None:
-        return float(sum(f * log_pmf(model, y) for y, f in s.freq.items()))
+    if s.counts is not None:
+        return float(np.sum(s.freqs * log_pmf_array(model, s.counts)))
     return _loglik_structured(model, s)
 
 
@@ -293,7 +354,7 @@ def mle_geometric(s: FrequencySample) -> FitResult:
 def mle_poisson(s: FrequencySample) -> FitResult:
     """Poisson MLE: the sample mean."""
     model = Poisson(mean=s.mean)
-    if s.freq is not None:
+    if s.counts is not None:
         ll = loglik(model, s)
     elif s.mean == 0.0:
         ll = 0.0
@@ -314,7 +375,7 @@ def mom_nb(s: FrequencySample) -> FitResult:
     k_hat = s.mean**2 / (s.var - s.mean)
     p_hat = k_hat / (s.mean + k_hat)
     model = NegBinomial(p=p_hat, k=k_hat)
-    ll = loglik(model, s) if s.freq is not None else float("nan")
+    ll = loglik(model, s) if s.counts is not None else float("nan")
     return _fit_result(model, ll, 2, SolverInfo(method="moments"))
 
 
@@ -368,7 +429,7 @@ def mle_nb(s: FrequencySample) -> FitResult:
     the root with the highest log-likelihood.
     """
     _require_nonzero_mean(s)
-    if s.var is None or s.freq is None:
+    if s.var is None or s.counts is None:
         raise EstimationError("NB MLE requires the full frequency table")
     if s.var <= s.mean:
         raise UnderDispersedError(

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dist import CountModel, pmf
+import numpy as np
+
+from .dist import CountModel, log_pmf_array
 from .errors import (
     CountFitError,
     DegenerateBinningError,
@@ -51,6 +53,9 @@ _FITTERS = {
 
 MIN_BINS = 3
 
+# relative AIC difference below which two fits count as tied
+AIC_TIE = 1e-12
+
 
 @dataclass(frozen=True)
 class Bin:
@@ -88,9 +93,9 @@ def expected_counts(model: CountModel, n: int, max_count: int) -> list[float]:
     """Expected frequencies n*pmf(y) for y in [0, max_count] plus a tail cell."""
     if max_count < 1:
         raise InvalidModelError(f"max_count must be >= 1, got {max_count!r}")
-    probs = [pmf(model, y) for y in range(max_count + 1)]
-    tail = max(0.0, 1.0 - sum(probs))
-    return [n * p for p in probs] + [n * tail]
+    probs = np.exp(log_pmf_array(model, np.arange(max_count + 1)))
+    tail = max(0.0, 1.0 - float(np.sum(probs)))
+    return (n * probs).tolist() + [n * tail]
 
 
 def pool_tail(
@@ -162,13 +167,15 @@ def gof_test(
     threshold: float = 1.0,
 ) -> GofResult:
     """Chi-squared test of the model against the observed histogram."""
-    if s.freq is None:
+    if s.counts is None:
         raise EstimationError("goodness of fit requires the full frequency table")
-    max_count = max(s.freq)
+    max_count = int(s.counts[-1])
     if max_count < 1:
         raise DegenerateBinningError("all observations are zero; nothing to bin")
     exp = expected_counts(model, s.n, max_count)
-    obs = [float(s.freq.get(y, 0)) for y in range(max_count + 1)] + [0.0]
+    observed = np.zeros(max_count + 2)
+    observed[s.counts] = s.freqs
+    obs = observed.tolist()
     labels = [str(y) for y in range(max_count + 1)] + [f"{max_count + 1}+"]
     obs, exp, labels = _merge_structural_zeros(obs, exp, labels)
     bins = pool_tail(obs, exp, threshold, labels=labels)
@@ -225,7 +232,10 @@ def compare_models(
     fitted = [e for e in entries if e.fit is not None]
     if not fitted:
         raise EstimationError("every requested family failed to fit")
-    best = min(fitted, key=lambda e: e.fit.aic)
+    # zig and hg tie up to roundoff: the first requested family within
+    # AIC_TIE of the minimum wins, whatever the summation order
+    low = min(e.fit.aic for e in fitted)
+    best = next(e for e in fitted if e.fit.aic <= low + AIC_TIE * abs(low))
     notes: tuple[str, ...] = ()
     if {"zig", "hg"} <= {e.family for e in fitted}:
         notes = (

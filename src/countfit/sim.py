@@ -20,6 +20,7 @@ from .dist import (
     NegBinomial,
     Poisson,
     ZeroInflated,
+    log_pmf_array,
     pmf,
 )
 from .errors import CountFitError, EstimationError, InvalidModelError
@@ -38,20 +39,25 @@ from .estimate import (
 __all__ = ["sample", "grid_oracle", "recovery_experiment", "RecoveryReport"]
 
 _TAIL_MASS = 1e-12
+_TABLE_CAP = 10_000_000
 
 
-def _inverse_cdf_table(pmf_at, start: int = 0) -> np.ndarray:
-    """Cumulative probabilities from ``start`` until tail mass < 1e-12."""
-    cum = []
-    total = 0.0
-    y = start
-    while total < 1.0 - _TAIL_MASS:
-        total += pmf_at(y)
-        cum.append(total)
-        y += 1
-        if y - start > 10_000_000:
+def _inverse_cdf_table(probs, start: int = 0) -> np.ndarray:
+    """Cumulative probabilities from ``start`` until tail mass < 1e-12.
+
+    ``probs`` maps an array of counts to their probabilities. The range is
+    doubled until it covers all but the tail mass, so the table costs a few
+    array calls, not one pmf call per count.
+    """
+    size = 64
+    while True:
+        cum = np.cumsum(probs(np.arange(start, start + size)))
+        covered = np.flatnonzero(cum >= 1.0 - _TAIL_MASS)
+        if covered.size:
+            return cum[: covered[0] + 1]
+        if size >= _TABLE_CAP:
             raise CountFitError("inverse-CDF table did not converge")
-    return np.asarray(cum)
+        size = min(2 * size, _TABLE_CAP)
 
 
 def _sample_base(base: CountModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -86,12 +92,13 @@ def sample(model: CountModel, n: int, seed) -> np.ndarray:
             return draws
         # negative mixing weight: the mixture story breaks down, sample the
         # compound pmf directly by inverse CDF
-        cum = _inverse_cdf_table(lambda y: pmf(model, y))
+        cum = _inverse_cdf_table(lambda ys: np.exp(log_pmf_array(model, ys)))
         return np.searchsorted(cum, rng.random(n)).astype(np.int64)
     if isinstance(model, Hurdle):
         at_zero = rng.random(n) < model.pi
+        p0 = pmf(model.base, 0)
         cum = _inverse_cdf_table(
-            lambda y: pmf(model.base, y) / (1.0 - pmf(model.base, 0)), start=1
+            lambda ys: np.exp(log_pmf_array(model.base, ys)) / (1.0 - p0), start=1
         )
         draws = 1 + np.searchsorted(cum, rng.random(n)).astype(np.int64)
         draws[at_zero] = 0
@@ -207,7 +214,7 @@ def recovery_experiment(
     children = np.random.SeedSequence(seed).spawn(replicates)
     for child in children:
         counts = sample(true_model, n, child)
-        s = summarize(counts.tolist())
+        s = summarize(counts)
         for meth, (fit_fn, extract) in estimators.items():
             try:
                 fit = fit_fn(s)

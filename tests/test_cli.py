@@ -1,3 +1,4 @@
+import collections
 import json
 
 import pytest
@@ -83,6 +84,15 @@ def test_fit_parse_error_exit_code(tmp_path):
     assert main(["fit", str(path), "--model", "zig"]) == 3
 
 
+def test_non_utf8_csv_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"count,frequency\n0,50\n1,25\n# caf\xe9 \xff\xfe\n")
+    with pytest.raises(InputFormatError):
+        read_frequency_file(str(path))
+    assert main(["fit", str(path), "--model", "zig"]) == 3
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(zig_fixture):
     with pytest.raises(SystemExit) as exc:
         main(["compare", zig_fixture, "--models"])
@@ -156,9 +166,21 @@ def test_simulate_fit_round_trip(tmp_path):
     from countfit.dist import Geometric
 
     draws = sample(ZeroInflated(pi=0.3, base=Geometric(p=0.4)), 5000, 12)
-    import collections
-
     assert dict(s.freq) == dict(collections.Counter(draws.tolist()))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["zig:pi=0.3653,p=0.3843", "zig:pi=-0.0256,p=0.3109", "hg:pi=0.4,p=0.2", "nb:m=4.6102,k=0.6193"],
+)
+def test_simulate_csv_matches_counter_histogram(spec, tmp_path):
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--model", spec, "--n", "20000", "--seed", "7", "--out", str(out)]) == 0
+    from countfit.sim import sample
+
+    hist = collections.Counter(int(c) for c in sample(parse_model_spec(spec), 20000, 7))
+    lines = ["count,frequency"] + [f"{y},{hist[y]}" for y in sorted(hist)]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_outputs_byte_identical(zig_fixture, tmp_path):

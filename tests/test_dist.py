@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from conftest import random_model
 from countfit.dist import (
@@ -11,6 +12,7 @@ from countfit.dist import (
     Poisson,
     ZeroInflated,
     log_pmf,
+    log_pmf_array,
     make_hurdle,
     make_zero_inflated,
     moments,
@@ -69,6 +71,66 @@ def test_nb_log_pmf_against_product_oracle():
         ratio *= (k + i) / (i + 1.0)
     expected = math.log(ratio) + k * math.log(p) + y * math.log(1.0 - p)
     assert log_pmf(NegBinomial(p=p, k=k), y) == pytest.approx(expected, rel=1e-10)
+
+
+def _scipy_base_logpmf(base, ys):
+    if isinstance(base, Poisson):
+        return stats.poisson.logpmf(ys, base.mean)
+    if isinstance(base, Geometric):
+        return stats.geom.logpmf(ys + 1, base.p)  # scipy counts trials
+    return stats.nbinom.logpmf(ys, base.k, base.p)
+
+
+def _scipy_logpmf(model, ys):
+    """Independent log-pmf from scipy.stats for every family and compound."""
+    if not isinstance(model, (ZeroInflated, Hurdle)):
+        return _scipy_base_logpmf(model, ys)
+    pi, base = model.pi, model.base
+    base_lp = _scipy_base_logpmf(base, ys)
+    p0 = math.exp(_scipy_base_logpmf(base, np.array([0]))[0])
+    with np.errstate(divide="ignore"):
+        if isinstance(model, ZeroInflated):
+            zero, rest = np.log(pi + (1.0 - pi) * p0), np.log1p(-pi) + base_lp
+        else:
+            zero, rest = np.log(pi), np.log1p(-pi) + base_lp - np.log1p(-p0)
+    return np.where(ys == 0, zero, rest)
+
+
+_LOG_PMF_CASES = [
+    Poisson(mean=3.7),
+    Poisson(mean=0.0),  # point mass at zero
+    Geometric(p=0.3),
+    Geometric(p=1.0),  # point mass at zero
+    NegBinomial(p=0.4, k=2.5),
+    NegBinomial(p=0.15, k=0.3),
+    NegBinomial(p=1.0, k=2.5),  # point mass at zero
+    ZeroInflated(pi=0.2, base=Geometric(p=0.3)),
+    ZeroInflated(pi=-1.0, base=Geometric(p=0.5)),  # the floor -p/(1-p): P(0) = 0
+    ZeroInflated(pi=1.0, base=Geometric(p=0.3)),  # all mass at zero
+    ZeroInflated(pi=0.1, base=Poisson(mean=2.0)),
+    ZeroInflated(pi=-0.05, base=NegBinomial(p=0.5, k=1.5)),
+    Hurdle(pi=0.35, base=Geometric(p=0.3)),
+    Hurdle(pi=0.0, base=Geometric(p=0.3)),  # no zeros
+    Hurdle(pi=1.0, base=Geometric(p=0.3)),  # all mass at zero
+    Hurdle(pi=0.4, base=NegBinomial(p=0.3, k=0.8)),
+    Hurdle(pi=0.2, base=Poisson(mean=1.5)),
+]
+
+
+@pytest.mark.parametrize("model", _LOG_PMF_CASES, ids=repr)
+def test_log_pmf_array_against_scipy_stats(model):
+    ys = np.arange(0, 80)
+    got = log_pmf_array(model, ys)
+    want = _scipy_logpmf(model, ys)
+    assert got.shape == ys.shape
+    np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
+    finite = np.isfinite(want)
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-10, atol=1e-12)
+    # the scalar wrappers are the same formula, with exact structural zeros
+    for y in (0, 1, 7, 79):
+        assert log_pmf(model, y) == got[y]
+        assert pmf(model, y) == (0.0 if got[y] == -np.inf else math.exp(got[y]))
+    assert log_pmf_array(model, ys.astype(np.float64)).tolist() == got.tolist()
 
 
 def test_pmf_rejects_negative_count():

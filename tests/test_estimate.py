@@ -1,4 +1,7 @@
 import math
+import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,6 +66,85 @@ def test_summarize_rejects_bad_input():
         summarize([])
     with pytest.raises(EstimationError):
         summarize([-1, 2])
+
+
+# raw values as summarize receives them: small and sparse huge counts,
+# bools and floats (int() truncates them)
+_raw_value = st.one_of(
+    st.integers(0, 40),
+    st.integers(0, 2**63 - 1),
+    st.booleans(),
+    st.floats(0.0, 40.0),
+)
+
+
+def _assert_matches_oracle(s, oracle: Counter) -> None:
+    ys = sorted(oracle)
+    assert s.counts.dtype == np.int64 and s.freqs.dtype == np.int64
+    assert s.counts.tolist() == ys
+    assert s.freqs.tolist() == [oracle[y] for y in ys]
+    assert dict(s.freq) == dict(oracle)
+    n = sum(oracle.values())
+    assert (s.n, s.n0) == (n, oracle.get(0, 0))
+    mean = Fraction(sum(y * f for y, f in oracle.items()), n)
+    assert s.mean == float(mean)
+    var = sum(f * (y - mean) ** 2 for y, f in oracle.items()) / n
+    # float deviations carry roundoff of order max(y)^2 * 2^-52
+    assert abs(s.var - float(var)) <= 1e-12 * max(ys) ** 2 + 1e-12 * float(var)
+
+
+@given(st.lists(_raw_value, min_size=1, max_size=60))
+@settings(max_examples=300)
+def test_summarize_matches_counter_oracle(values):
+    oracle = Counter(int(v) for v in values)
+    _assert_matches_oracle(summarize(values), oracle)
+    _assert_matches_oracle(summarize(iter(values)), oracle)
+    ints = [int(v) for v in values]
+    _assert_matches_oracle(summarize(np.array(ints, dtype=np.int64)), oracle)
+    _assert_matches_oracle(summarize(dict(reversed(oracle.items()))), oracle)
+    if all(isinstance(v, float) for v in values):
+        _assert_matches_oracle(summarize(np.array(values)), oracle)
+    if all(isinstance(v, bool) for v in values):
+        _assert_matches_oracle(summarize(np.array(values)), oracle)
+
+
+@given(
+    st.lists(st.integers(0, 40), max_size=10),
+    st.integers(2**63, 2**80),
+)
+def test_summarize_rejects_integers_beyond_int64(values, huge):
+    with pytest.raises(EstimationError):
+        summarize(values + [huge])
+    with pytest.raises(EstimationError):
+        summarize({**{v: 1 for v in values}, huge: 1})
+    with pytest.raises(EstimationError):
+        summarize({1: huge})
+
+
+def test_summarize_sparse_huge_counts_do_not_allocate_a_table():
+    tracemalloc.start()
+    try:
+        s = summarize([0, 10**12])
+        s_arr = summarize(np.array([0, 10**12, 10**12]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert s.counts.tolist() == [0, 10**12] and s.freqs.tolist() == [1, 1]
+    assert s_arr.freqs.tolist() == [1, 2]
+    assert s.mean == 5e11
+
+
+def test_summarize_arrays_are_read_only():
+    values = np.array([3, 1, 1, 0])
+    s = summarize(values)
+    assert values.flags.writeable
+    with pytest.raises(ValueError):
+        s.counts[0] = 7
+    with pytest.raises(TypeError):
+        s.freq[0] = 7
+    ys, fs = s.counts_arrays()
+    assert ys is s.counts and fs is s.freqs
 
 
 # --- loglik ----------------------------------------------------------------

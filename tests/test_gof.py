@@ -1,5 +1,7 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from countfit.dist import Geometric, Hurdle, ZeroInflated
@@ -154,6 +156,19 @@ def test_compare_models_zig_hg_equal_aic():
     aics = {e.family: e.fit.aic for e in report.entries}
     assert aics["zig"] == pytest.approx(aics["hg"], abs=1e-9)
     assert report.notes
+
+
+def test_compare_models_tie_break_ignores_cell_order():
+    # zig and hg tie up to roundoff; the first requested family must win
+    # however the cells are ordered, since cell order changes the roundoff
+    counts = sample(ZeroInflated(pi=0.3653, base=Geometric(p=0.3843)), 200_000, 3)
+    cells = list(Counter(counts.tolist()).items())
+    rng = np.random.default_rng(17)
+    for _ in range(25):
+        s = summarize(dict(cells[i] for i in rng.permutation(len(cells))))
+        assert compare_models(s, ["zig", "hg"]).best_aic_model == "zig"
+        assert compare_models(s, ["hg", "zig"]).best_aic_model == "hg"
+        assert compare_models(s, ["geom", "hg", "zig"]).best_aic_model == "hg"
 
 
 def test_compare_models_nb_vs_zig():
