@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -79,33 +80,46 @@ def read_frequency_file(path: str) -> tuple[FrequencySample, str]:
     return summarize(freq), digest
 
 
+_SPEC_KEYS = {
+    "poisson": ("m",),
+    "geom": ("p",),
+    "nb": ("p", "k"),
+    "zig": ("pi", "p"),
+    "hg": ("pi", "p"),
+}
+
+
 def parse_model_spec(spec: str) -> CountModel:
-    """Parse a "family:key=val,..." model spec, e.g. "zig:pi=0.3,p=0.4"."""
+    """Parse a "family:key=val,..." model spec, e.g. "zig:pi=0.3,p=0.4".
+
+    Each of the family's keys must appear exactly once and no other key may;
+    nb takes either p,k or m,k.
+    """
+    family, _, body = spec.partition(":")
     try:
-        family, _, body = spec.partition(":")
-        kv = dict(item.split("=") for item in body.split(",") if item)
-        params = {k.strip(): float(v) for k, v in kv.items()}
+        pairs = [item.split("=") for item in body.split(",") if item]
+        params = {k.strip(): float(v) for k, v in pairs}
     except ValueError as exc:
         raise InputFormatError(f"malformed model spec {spec!r}") from exc
-    try:
-        if family == "poisson":
-            return Poisson(mean=params.pop("m"))
-        if family == "geom":
-            return Geometric(p=params.pop("p"))
-        if family == "nb":
-            if "m" in params:
-                m, k = params.pop("m"), params.pop("k")
-                return NegBinomial(p=k / (m + k), k=k)
-            return NegBinomial(p=params.pop("p"), k=params.pop("k"))
-        if family == "zig":
-            return ZeroInflated(pi=params.pop("pi"), base=Geometric(p=params.pop("p")))
-        if family == "hg":
-            return Hurdle(pi=params.pop("pi"), base=Geometric(p=params.pop("p")))
-    except KeyError as exc:
-        raise InputFormatError(f"model spec {spec!r} is missing parameter {exc}")
-    raise InputFormatError(
-        f"unknown family {family!r}; choose from {', '.join(FAMILIES)}"
-    )
+    if family not in _SPEC_KEYS:
+        raise InputFormatError(
+            f"unknown family {family!r}; choose from {', '.join(FAMILIES)}"
+        )
+    keys = ("m", "k") if family == "nb" and "m" in params else _SPEC_KEYS[family]
+    if len(pairs) != len(keys) or params.keys() != set(keys):
+        raise InputFormatError(
+            f"model spec {spec!r} must give each of {', '.join(keys)} exactly once"
+        )
+    first, last = params[keys[0]], params[keys[-1]]
+    if family == "poisson":
+        return Poisson(mean=first)
+    if family == "geom":
+        return Geometric(p=first)
+    if family == "nb":
+        return NegBinomial(p=last / (first + last) if keys[0] == "m" else first, k=last)
+    if family == "zig":
+        return ZeroInflated(pi=first, base=Geometric(p=last))
+    return Hurdle(pi=first, base=Geometric(p=last))
 
 
 def _model_params(model: CountModel) -> dict[str, float]:
@@ -284,6 +298,19 @@ def cmd_recover(args) -> int:
     return EXIT_OK
 
 
+def _positive(kind):
+    """argparse type: a number of the given kind, finite and > 0."""
+
+    def parse(text: str):
+        value = kind(text)  # argparse reports a ValueError as an invalid value
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # names the kind in argparse's message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="countfit",
@@ -303,14 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit one family to a frequency CSV")
     p.add_argument("data", help="frequency CSV (count,frequency)")
     p.add_argument("--model", required=True, choices=FAMILIES)
-    p.add_argument("--pool-threshold", type=float, default=1.0)
+    p.add_argument("--pool-threshold", type=_positive(float), default=1.0)
     add_common(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("compare", help="fit several families and rank by AIC")
     p.add_argument("data")
     p.add_argument("--models", required=True, nargs="+", choices=FAMILIES)
-    p.add_argument("--pool-threshold", type=float, default=1.0)
+    p.add_argument("--pool-threshold", type=_positive(float), default=1.0)
     add_common(p)
     p.set_defaults(func=cmd_compare)
 
@@ -322,15 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sample a model into a frequency CSV")
     p.add_argument("--model", required=True, help='spec, e.g. "zig:pi=0.3,p=0.4"')
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive(int), required=True)
     p.add_argument("--seed", type=int, default=0)
     add_common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("recover", help="parameter-recovery experiment")
     p.add_argument("--model", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--reps", type=int, default=20)
+    p.add_argument("--n", type=_positive(int), required=True)
+    p.add_argument("--reps", type=_positive(int), default=20)
     p.add_argument("--seed", type=int, default=0)
     add_common(p)
     p.set_defaults(func=cmd_recover)

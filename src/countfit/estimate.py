@@ -1,9 +1,11 @@
 """Maximum-likelihood and method-of-moments estimators for count data.
 
 Zero-inflated geometric, hurdle geometric, geometric and Poisson fits are
-closed-form. The negative binomial shape requires a numerical root of its
-digamma score equation, solved by safeguarded Newton iteration inside an
-expanding bracket with bisection fallback.
+closed-form. The negative binomial shape is the unique root of its
+finite-sum profile score (Bliss & Fisher 1953), solved by safeguarded
+Newton iteration in log k inside an expanding bracket, with bisection
+fallback; a score still positive at the bracket cap is reported as the
+Poisson limit.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .errors import (
     AllZerosError,
     EstimationError,
     InvalidModelError,
-    NoSignChangeError,
     UnderDispersedError,
 )
 
@@ -161,11 +162,14 @@ def _values(data: Iterable[int]) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _table_fits(largest: int, n: int) -> bool:
+    """Whether a dense table over 0..largest costs at most a few cells per value."""
+    return largest <= 4 * n + 1024
+
+
 def _tally(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending distinct values and their frequencies."""
-    # bincount allocates max+1 cells; past a few cells per value, sorting
-    # is cheaper and bounded by the input's size
-    if values.size and values.min() >= 0 and values.max() <= 4 * values.size + 1024:
+    if values.size and values.min() >= 0 and _table_fits(values.max(), values.size):
         table = np.bincount(values)
         counts = np.flatnonzero(table)
         return counts, table[counts]
@@ -274,10 +278,11 @@ def score_residuals(model: CountModel, s: FrequencySample) -> np.ndarray:
         d_p = (n - n0) * (1.0 / (1.0 - p) + 1.0 / p) - m * n / (1.0 - p)
         return np.array([d_pi, d_p])
     if isinstance(model, NegBinomial):
-        ys, fs = s.counts_arrays()
         p, k = model.p, model.k
         d_p = n * k / p - m * n / (1.0 - p)
-        d_k = float(np.sum(fs * _sp.psi(ys + k)) - n * _sp.psi(k) + n * math.log(p))
+        # the profile score plus the gap between log p and its profile value
+        g = _nb_profile_score(*s.counts_arrays(), n, m)(k)[0]
+        d_k = g + n * (math.log(p) + math.log1p(m / k))
         return np.array([d_p, d_k])
     if isinstance(model, Geometric):
         return np.array([n / model.p - m * n / (1.0 - model.p)])
@@ -379,54 +384,56 @@ def mom_nb(s: FrequencySample) -> FitResult:
     return _fit_result(model, ll, 2, SolverInfo(method="moments"))
 
 
-def _nb_k_score(k: float, ys: np.ndarray, fs: np.ndarray, n: int, m: float) -> float:
-    """Profile score in k after substituting p = k/(m+k)."""
-    return float(
-        np.sum(fs * _sp.psi(ys + k)) - n * _sp.psi(k) + n * math.log(k / (m + k))
-    )
+def _x_minus_log1p(x: float) -> float:
+    """x - log(1 + x) for x > 0, without cancellation when x is small."""
+    if x > 0.01:
+        return x - math.log1p(x)
+    # x^2/2 - x^3/3 + ... to x^9/9; the next term is below 1e-17 relative
+    return x * x * (1 / 2 - x * (1 / 3 - x * (1 / 4 - x * (1 / 5 - x * (
+        1 / 6 - x * (1 / 7 - x * (1 / 8 - x / 9)))))))
 
 
-def _nb_k_score_deriv(
-    k: float, ys: np.ndarray, fs: np.ndarray, n: int, m: float
-) -> float:
-    return float(
-        np.sum(fs * _sp.polygamma(1, ys + k))
-        - n * _sp.polygamma(1, k)
-        + n * (1.0 / k - 1.0 / (m + k))
-    )
+def _nb_profile_score(ys: np.ndarray, fs: np.ndarray, n: int, m: float):
+    """k -> (g(k), g'(k)): the NB score in k with p = k/(m+k) substituted.
 
+    Bliss & Fisher (1953): with A_j = #{y > j}, g(k) = sum_j A_j/(k+j) -
+    n*log1p(m/k). As sum_j A_j = n*m, it is evaluated as n*(x - log1p(x)) -
+    (1/k)*sum_j j*A_j/(k+j) with x = m/k, where no two large terms cancel
+    near the Poisson limit. The A_j table costs O(largest count); past the
+    size rule of `summarize` the sum runs over the distinct counts instead,
+    as digamma differences (A_j is constant between them).
+    """
+    if _table_fits(int(ys[-1]), n):
+        j = np.arange(ys[-1], dtype=np.float64)
+        ja = j * (n - np.cumsum(np.bincount(ys, fs)[:-1]))  # j * A_j
 
-def _newton_bisect(
-    f, fprime, lo: float, hi: float, f_lo: float, tol: float
-) -> tuple[float, float, int]:
-    """Safeguarded Newton: steps leaving the bracket fall back to bisection."""
-    x = 0.5 * (lo + hi)
-    fx = f(x)
-    iterations = 1
-    for _ in range(200):
-        if abs(fx) < tol or (hi - lo) < 1e-14 * max(1.0, abs(x)):
-            break
-        if (fx > 0.0) == (f_lo > 0.0):
-            lo = x
-        else:
-            hi = x
-        d = fprime(x)
-        x_new = x - fx / d if d != 0.0 else lo
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        x = x_new
-        fx = f(x)
-        iterations += 1
-    return x, fx, iterations
+        def score(k: float) -> tuple[float, float]:
+            inv = 1.0 / (k + j)
+            r = ja * inv
+            s1, s2 = float(r.sum()), float(r @ inv)
+            g = n * _x_minus_log1p(m / k) - s1 / k
+            return g, (s1 + k * s2 - n * m * m / (m + k)) / (k * k)
+
+    else:
+
+        def score(k: float) -> tuple[float, float]:
+            g = float(np.sum(fs * (_sp.psi(ys + k) - _sp.psi(k))))
+            dg = float(np.sum(fs * (_sp.polygamma(1, ys + k) - _sp.polygamma(1, k))))
+            return g - n * math.log1p(m / k), dg + n * m / (k * (m + k))
+
+    return score
 
 
 def mle_nb(s: FrequencySample) -> FitResult:
-    """Numerical NB MLE via the digamma score equation in the shape k.
+    """Numerical NB MLE: the root in k of the finite-sum profile score.
 
-    Brackets the root around the method-of-moments shape, expands the
-    bracket geometrically until the score changes sign (cap 1e8), scans for
-    multiple sign changes, solves each by safeguarded Newton and returns
-    the root with the highest log-likelihood.
+    The root is unique when the variance exceeds the mean (Aragon, Eberly &
+    Eberly 1992), with the score positive below it. The bracket is the
+    moments shape /10 and *10, widened tenfold within [1e-8, 1e8]. Newton
+    in log k starts at the moments shape, bisects when a step leaves the
+    bracket, and stops at the first point reached by a step below 1e-10.
+    A score still positive at the cap gives k = 1e8, flagged as the Poisson
+    limit; one not positive at the floor gives k = 1e-8, also flagged.
     """
     _require_nonzero_mean(s)
     if s.var is None or s.counts is None:
@@ -436,70 +443,60 @@ def mle_nb(s: FrequencySample) -> FitResult:
             f"sample variance {s.var:.6g} does not exceed mean {s.mean:.6g}; "
             "the NB score equation has no finite root"
         )
-    ys, fs = s.counts_arrays()
     n, m = s.n, s.mean
-
-    def f(k: float) -> float:
-        return _nb_k_score(k, ys, fs, n, m)
-
-    def fp(k: float) -> float:
-        return _nb_k_score_deriv(k, ys, fs, n, m)
-
-    k_mom = s.mean**2 / (s.var - s.mean)
-    k_lo = max(_BRACKET_FLOOR, k_mom / 10.0)
-    k_hi = min(_BRACKET_CAP, k_mom * 10.0)
-    f_lo, f_hi = f(k_lo), f(k_hi)
-    while (f_lo > 0.0) == (f_hi > 0.0):
-        expanded = False
-        if k_lo > _BRACKET_FLOOR:
-            k_lo = max(_BRACKET_FLOOR, k_lo / 10.0)
-            f_lo = f(k_lo)
-            expanded = True
-        if (f_lo > 0.0) == (f_hi > 0.0) and k_hi < _BRACKET_CAP:
-            k_hi = min(_BRACKET_CAP, k_hi * 10.0)
-            f_hi = f(k_hi)
-            expanded = True
-        if not expanded:
-            raise NoSignChangeError(
-                f"no sign change of the NB score on [{k_lo:.3g}, {k_hi:.3g}] "
-                f"(cap {_BRACKET_CAP:.0e}); the MLE may not exist"
-            )
-
-    # scan for multiple roots before polishing; keep the best by loglik
-    grid = np.geomspace(k_lo, k_hi, 64)
-    fg = np.array([f(k) for k in grid])
-    sign_changes = [
-        (grid[i], grid[i + 1], fg[i])
-        for i in range(len(grid) - 1)
-        if (fg[i] > 0.0) != (fg[i + 1] > 0.0)
-    ]
-    if not sign_changes:
-        sign_changes = [(k_lo, k_hi, f_lo)]
-
-    tol = 0.5e-10 * n
-    best: tuple[float, CountModel, float, float, int] | None = None
-    total_iter = 0
-    for lo, hi, flo in sign_changes:
-        k_hat, res, iters = _newton_bisect(f, fp, float(lo), float(hi), float(flo), tol)
-        total_iter += iters
-        k_hat = float(k_hat)
-        model = NegBinomial(p=k_hat / (m + k_hat), k=k_hat)
-        ll = loglik(model, s)
-        if best is None or ll > best[0]:
-            best = (ll, model, res, k_hat, iters)
-    assert best is not None
-    ll, model, res, _, _ = best
-    notes = ()
-    if len(sign_changes) > 1:
-        notes = (f"{len(sign_changes)} score roots found; kept the best by loglik",)
+    score = _nb_profile_score(*s.counts_arrays(), n, m)
+    k_mom = m * m / (s.var - m)
+    lo = min(max(_BRACKET_FLOOR, k_mom / 10.0), _BRACKET_CAP)
+    hi = max(min(_BRACKET_CAP, k_mom * 10.0), _BRACKET_FLOOR)
+    g_lo, g_hi = score(lo)[0], score(hi)[0]
+    evals = 2
+    while g_lo <= 0.0 and lo > _BRACKET_FLOOR:
+        hi, g_hi = lo, g_lo
+        lo = max(_BRACKET_FLOOR, lo / 10.0)
+        g_lo = score(lo)[0]
+        evals += 1
+    while g_hi > 0.0 and hi < _BRACKET_CAP:
+        lo, g_lo = hi, g_hi
+        hi = min(_BRACKET_CAP, hi * 10.0)
+        g_hi = score(hi)[0]
+        evals += 1
+    bracket = (lo, hi)
+    notes: tuple[str, ...] = ()
+    if g_hi > 0.0:
+        k, g = hi, g_hi
+        notes = (f"Poisson limit: the NB score is still positive at the cap k={hi:.0e}",)
+    elif g_lo <= 0.0:
+        k, g = lo, g_lo
+        notes = (f"the NB score is not positive at the floor k={lo:.0e}",)
+    else:
+        k = k_mom if lo < k_mom < hi else math.sqrt(lo * hi)
+        step = math.inf
+        for _ in range(100):
+            g, dg = score(k)
+            evals += 1
+            if abs(step) < 1e-10:
+                break
+            if g > 0.0:
+                lo = k
+            else:
+                hi = k
+            t = math.log(k)
+            t_new = t - g / (k * dg) if dg < 0.0 else math.inf
+            # a converged step may round onto the bracket's edge; keep it
+            if abs(t_new - t) >= 1e-10 and not math.log(lo) < t_new < math.log(hi):
+                t_new = 0.5 * (math.log(lo) + math.log(hi))
+            step = t_new - t
+            k = math.exp(t_new)
+    model = NegBinomial(p=k / (m + k), k=k)
     info = SolverInfo(
         method="newton-bisection",
-        iterations=total_iter,
-        bracket=(float(k_lo), float(k_hi)),
-        residual=res,
+        iterations=evals,
+        bracket=bracket,
+        residual=g,
+        boundary=bool(notes),
         notes=notes,
     )
-    return _fit_result(model, ll, 2, info)
+    return _fit_result(model, loglik(model, s), 2, info)
 
 
 def zig_hg_reparam(pi_zig: float, p: float) -> float:

@@ -60,9 +60,16 @@ def _inverse_cdf_table(probs, start: int = 0) -> np.ndarray:
         size = min(2 * size, _TABLE_CAP)
 
 
+def _poisson(rng: np.random.Generator, lam, n: int | None = None) -> np.ndarray:
+    try:
+        return rng.poisson(lam, n)
+    except ValueError as exc:  # numpy refuses means near 2**63
+        raise CountFitError(f"cannot sample a Poisson mean this large ({exc})") from exc
+
+
 def _sample_base(base: CountModel, n: int, rng: np.random.Generator) -> np.ndarray:
     if isinstance(base, Poisson):
-        return rng.poisson(base.mean, n)
+        return _poisson(rng, base.mean, n)
     if isinstance(base, Geometric):
         if base.p == 1.0:
             return np.zeros(n, dtype=np.int64)
@@ -72,8 +79,7 @@ def _sample_base(base: CountModel, n: int, rng: np.random.Generator) -> np.ndarr
     if isinstance(base, NegBinomial):
         if base.p == 1.0:
             return np.zeros(n, dtype=np.int64)
-        lam = rng.gamma(base.k, (1.0 - base.p) / base.p, n)
-        return rng.poisson(lam)
+        return _poisson(rng, rng.gamma(base.k, (1.0 - base.p) / base.p, n))
     raise InvalidModelError(f"cannot sample base model {type(base).__name__}")
 
 

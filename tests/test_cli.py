@@ -99,6 +99,39 @@ def test_usage_error_exit_code(zig_fixture):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "{csv}", "--model", "zig", "--pool-threshold", "-1"],
+        ["compare", "{csv}", "--models", "zig", "nb", "--pool-threshold", "-1"],
+        ["simulate", "--model", "geom:p=0.5", "--n", "0"],
+        ["recover", "--model", "geom:p=0.5", "--n", "0"],
+        ["recover", "--model", "geom:p=0.5", "--n", "100", "--reps", "0"],
+    ],
+    ids=["fit-pool", "compare-pool", "simulate-n", "recover-n", "recover-reps"],
+)
+def test_out_of_range_options_are_usage_errors(argv, zig_fixture, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([zig_fixture if a == "{csv}" else a for a in argv])
+    assert exc.value.code == 2
+    assert "must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec", ["zig:pi=0.3,p=0.4,bogus=1", "zig:pi=0.3,p=0.4,pi=0.5", "nb:m=2,p=0.5,k=1"]
+)
+def test_model_spec_rejects_unknown_and_repeated_keys(spec, capsys):
+    with pytest.raises(InputFormatError):
+        parse_model_spec(spec)
+    assert main(["simulate", "--model", spec, "--n", "10"]) == 3
+    assert "exactly once" in capsys.readouterr().err
+
+
+def test_simulate_huge_poisson_mean_is_an_estimator_error(capsys):
+    assert main(["simulate", "--model", "poisson:m=1e300", "--n", "10"]) == 4
+    assert "Poisson mean" in capsys.readouterr().err
+
+
 def test_compare_zig_hg_equal_aic(zig_fixture, tmp_path):
     out = tmp_path / "cmp.json"
     code = main(

@@ -3,13 +3,15 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import hypothesis
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CROFTON_ZIG, SEO_ZIG, recovered_n0
-from countfit.dist import Geometric, Hurdle, NegBinomial, ZeroInflated, log_pmf
+from countfit.dist import Geometric, Hurdle, NegBinomial, Poisson, ZeroInflated, log_pmf
 from countfit.errors import (
     AllZerosError,
     EstimationError,
@@ -371,6 +373,139 @@ def test_nb_score_components():
     resid = score_residuals(fit.model, s)
     assert abs(resid[0]) < 1e-6 * s.n  # p-equation holds by construction
     assert abs(resid[1]) < 1e-10 * s.n
+
+
+# --- NB shape MLE against a 50-digit oracle --------------------------------
+
+
+def _mp_nb_score(s):
+    """The psi-form NB profile score in k and the exact sample mean, as mpf."""
+    ys, fs = s.counts.tolist(), s.freqs.tolist()
+    mean = mpmath.mpf(sum(y * f for y, f in zip(ys, fs))) / s.n
+
+    def g(k):
+        terms = (f * (mpmath.digamma(y + k) - mpmath.digamma(k)) for y, f in zip(ys, fs))
+        return mpmath.fsum(terms) - s.n * mpmath.log1p(mean / k)
+
+    return g, mean
+
+
+def _mp_nb_root(s) -> float:
+    """Root of the profile score at 50 digits, bracketed from the moments shape.
+
+    The score is solved in t = log k and scaled by k**2/n, which keeps it of
+    order var - mean near the Poisson limit, where the score itself is tiny.
+    """
+    with mpmath.workdps(50):
+        g, mean = _mp_nb_score(s)
+        k_mom = mean**2 / (mpmath.mpf(s.var) - mean)
+        lo, hi = k_mom / 10, k_mom * 10
+        while g(lo) <= 0:
+            lo /= 10
+        while g(hi) > 0:
+            hi *= 10
+        h = lambda t: g(mpmath.exp(t)) * mpmath.exp(2 * t) / s.n
+        bracket = (mpmath.log(lo), mpmath.log(hi))
+        t = mpmath.findroot(h, bracket, solver="anderson", verify=False)
+        return float(mpmath.exp(t))
+
+
+def _no_multi_root_note(fit) -> bool:
+    return not any("roots" in note for note in fit.solver.notes)
+
+
+@st.composite
+def overdispersed_samples(draw):
+    """NB draws with k in [0.2, 50], or Poisson draws with var/mean - 1 < 1e-3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        k = draw(st.floats(0.2, 50.0))
+        mean = draw(st.floats(0.2, 20.0))
+        n = draw(st.integers(20, 3000))
+        draw_once = lambda: rng.negative_binomial(k, k / (mean + k), n)
+        accept = lambda y: y.var() > y.mean()
+    else:
+        mean = draw(st.floats(0.5, 10.0))
+        n = draw(st.integers(500, 3000))
+        draw_once = lambda: rng.poisson(mean, n)
+        accept = lambda y: 0.0 < y.var() / y.mean() - 1.0 < 1e-3
+    for _ in range(20_000):
+        y = draw_once()
+        if accept(y):
+            return summarize(y)
+    hypothesis.reject()
+
+
+@given(s=overdispersed_samples())
+@settings(max_examples=60, deadline=None)
+def test_mle_nb_matches_mpmath_root(s):
+    assert s.var > s.mean
+    fit = mle_nb(s)
+    root = _mp_nb_root(s)
+    assert fit.model.k == pytest.approx(min(root, 1e8), rel=1e-9)
+    assert fit.solver.boundary == (root > 1e8)
+    assert _no_multi_root_note(fit)
+
+
+def test_mle_nb_near_poisson_single_root():
+    # var/mean = 1.00009: the psi-form score's terms are about 1e4 while
+    # the score is about 1e-11, and roundoff once produced five "roots"
+    s = summarize(sample(Poisson(mean=3.39), 1893, 323))
+    fit = mle_nb(s)
+    assert fit.model.k == pytest.approx(38950.670281214, rel=1e-9)
+    assert fit.model.k == pytest.approx(_mp_nb_root(s), rel=1e-9)
+    assert _no_multi_root_note(fit)
+
+
+def test_mle_nb_sparse_huge_counts():
+    # a dense A_j table would need 10**12 cells
+    s = summarize({0: 5, 10**12: 1, 10**12 + 7: 2})
+    fit = mle_nb(s)
+    assert fit.model.k == pytest.approx(0.018691, rel=1e-4)
+    assert fit.model.k == pytest.approx(_mp_nb_root(s), rel=1e-9)
+    assert not fit.solver.boundary
+
+
+def test_mle_nb_poisson_limit_is_a_flagged_boundary():
+    # var - mean = 1e-10 < mean**2 / 1e8, so the root lies beyond the cap and
+    # k_mom / 10 is above the cap
+    s = summarize({0: 65859, 1: 24609, 2: 9553})
+    assert 0.0 < s.var - s.mean < s.mean**2 / 1e8
+    with mpmath.workdps(50):
+        assert _mp_nb_score(s)[0](mpmath.mpf(10**8)) > 0  # root above the cap
+    fit = mle_nb(s)
+    assert fit.model.k == 1e8
+    assert fit.solver.boundary
+    assert any("Poisson limit" in note for note in fit.solver.notes)
+    lo, hi = fit.solver.bracket
+    assert lo <= hi <= 1e8
+    assert fit.solver.residual > 0.0
+
+
+def test_mle_nb_root_below_floor_is_a_flagged_boundary():
+    s = summarize({0: 10**9, 2: 1})
+    assert s.var > s.mean
+    with mpmath.workdps(50):
+        assert _mp_nb_score(s)[0](mpmath.mpf("1e-8")) < 0  # root below the floor
+    fit = mle_nb(s)
+    assert fit.model.k == 1e-8
+    assert fit.solver.boundary
+    assert fit.solver.residual <= 0.0
+
+
+@pytest.mark.parametrize(
+    "freq",
+    [{0: 30, 1: 12, 2: 9, 5: 4, 11: 2}, {0: 5, 10**12: 1, 10**12 + 7: 2}],
+    ids=["dense", "sparse"],
+)
+@pytest.mark.parametrize("p, k", [(0.4, 0.7), (0.9, 25.0)])
+def test_nb_k_score_matches_mpmath(freq, p, k):
+    s = summarize(freq)
+    with mpmath.workdps(50):
+        g, mean = _mp_nb_score(s)
+        want = g(mpmath.mpf(k)) + s.n * (mpmath.log(p) + mpmath.log1p(mean / k))
+        got = score_residuals(NegBinomial(p=p, k=k), s)[1]
+        assert got == pytest.approx(float(want), rel=1e-9, abs=1e-9 * s.n)
 
 
 # --- reparametrization -----------------------------------------------------
