@@ -28,6 +28,7 @@ from .errors import CountFitError, EstimationError, InputFormatError
 from .estimate import FitResult, FrequencySample, summarize
 from .gof import FAMILIES, GofResult, compare_models, expected_counts, gof_test
 from .gof import _FITTERS as FITTERS
+from .gof import _largest_cell
 from .sim import recovery_experiment, sample
 
 EXIT_OK = 0
@@ -241,10 +242,10 @@ def cmd_compare(args) -> int:
 
 def cmd_figure(args) -> int:
     s, digest = read_frequency_file(args.data)
+    max_count = _largest_cell(s)
     fits = {}
     for family in args.models:
         fits[family] = FITTERS[family](s)
-    max_count = max(s.freq)
     header = ["count", "observed"] + [f"expected_{f}" for f in args.models]
     rows = []
     expecteds = {

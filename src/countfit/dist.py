@@ -118,8 +118,13 @@ class Moments:
 
 
 def _zero_inflation_floor(base: BaseModel) -> float:
-    """Smallest admissible mixing weight: -p0/(1-p0) keeps P(Y=0) >= 0."""
-    p0 = pmf(base, 0)
+    """Smallest admissible mixing weight: -p0/(1-p0) keeps P(Y=0) >= 0.
+
+    A geometric base uses p0 = p itself: exp(log p) can round below p and
+    reject the floor -p/(1-p) that `mle_zig` returns for a sample with no
+    zeros.
+    """
+    p0 = base.p if isinstance(base, Geometric) else pmf(base, 0)
     if p0 >= 1.0:
         return 0.0
     return -p0 / (1.0 - p0)

@@ -55,6 +55,8 @@ __all__ = [
 
 _BRACKET_CAP = 1e8
 _BRACKET_FLOOR = 1e-8
+# largest NB shape the lockstep row solver returns without calling mle_nb
+_ROWS_K_MAX = 1e4
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,10 +127,33 @@ def summarize(data: Iterable[int] | Mapping[int, int]) -> FrequencySample:
     ys, fs = counts.tolist(), freqs.tolist()
     n = sum(fs)
     mean = sum(y * f for y, f in zip(ys, fs)) / n  # exact integer total
-    dev = counts - mean
-    var = float(np.sum(freqs * (dev * dev))) / n
+    var = float(np.sum(_squared_deviations(counts, freqs, mean))) / n
     n0 = fs[0] if ys[0] == 0 else 0
     return FrequencySample(counts=counts, freqs=freqs, n=n, n0=n0, mean=mean, var=var)
+
+
+def _squared_deviations(counts: np.ndarray, freqs: np.ndarray, mean) -> np.ndarray:
+    """f * (y - mean)^2 per distinct count: the terms of n times the variance."""
+    dev = counts - mean
+    return freqs * (dev * dev)
+
+
+def _summarize_rows(table: np.ndarray) -> tuple:
+    """(n, n0, mean, var) of each row of a (rows, L) table of count frequencies.
+
+    Every row holds the same number of values n. The mean keeps the exact
+    integer total, and the variance sums each row's terms over its distinct
+    counts as `summarize` does, so both match `summarize` bit for bit. A sum
+    over the zero-padded row would group the terms differently, round
+    differently, and could move a variance across the mean.
+    """
+    n = int(table[0].sum())
+    mean = np.array([t / n for t in (table @ np.arange(table.shape[1])).tolist()])
+    rows, counts = np.nonzero(table)
+    terms = _squared_deviations(counts, table[rows, counts], mean[rows])
+    ends = np.cumsum(np.count_nonzero(table, axis=1)).tolist()
+    var = [float(terms[a:b].sum()) / n for a, b in zip([0] + ends, ends)]
+    return n, table[:, 0], mean, np.array(var)
 
 
 def _from_map(data: Mapping[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -301,29 +326,51 @@ def _require_nonzero_mean(s: FrequencySample) -> None:
         raise AllZerosError("every observation is zero; no two-parameter fit exists")
 
 
+def _zig_params(n, n0, m):
+    """ZIG MLE (pi, p) from n, n0 and the mean, elementwise over arrays.
+
+    The third value says where the maximizer is interior to the p axis:
+    false where every nonzero count equals 1 (or the mean is zero). With
+    no zeros the estimate is the floor pi = -p/(1-p) itself, so roundoff
+    cannot put it below the admissible interval.
+    """
+    m = np.asarray(m, dtype=np.float64)  # no ZeroDivisionError where p = 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = m * n - n + n0
+        p = (n - n0) / (m * n)
+        pi = np.where(n0 == 0, -p / (1.0 - p), (m * n0 - n + n0) / denom)
+    return pi, p, denom > 0.0
+
+
+def _hg_params(n, n0, m):
+    """Hurdle geometric MLE (pi, p) from n, n0 and the mean, elementwise."""
+    return n0 / n, (n - n0) / (n * m)
+
+
+def _geometric_p(m):
+    """Geometric MLE p = 1/(1+m), elementwise."""
+    return 1.0 / (1.0 + m)
+
+
+def _moments_shape(m, var):
+    """Method-of-moments NB shape m^2/(var - m), elementwise."""
+    return m * m / (var - m)
+
+
 def mle_zig(s: FrequencySample) -> FitResult:
     """Closed-form MLE for the zero-inflated(deflated) geometric model."""
     _require_nonzero_mean(s)
-    n, n0, m = s.n, s.n0, s.mean
-    denom = m * n - n + n0
-    if denom <= 0.0:
+    pi_hat, p_hat, interior = _zig_params(s.n, s.n0, s.mean)
+    if not interior:
         raise EstimationError(
             "degenerate sample: every nonzero count equals 1; the ZIG "
             "likelihood has no interior maximizer"
         )
-    pi_hat = (m * n0 - n + n0) / denom
-    p_hat = (n - n0) / (m * n)
-    if p_hat < 1.0:
-        # guard against roundoff pushing the boundary estimate below the
-        # admissible floor -p/(1-p)
-        floor = -p_hat / (1.0 - p_hat)
-        if floor - 1e-9 < pi_hat < floor:
-            pi_hat = floor
     notes: tuple[str, ...] = ()
-    boundary = n0 == 0
+    boundary = s.n0 == 0
     if boundary:
         notes = ("no zeros observed: estimate sits on the P(0)=0 boundary",)
-    model = ZeroInflated(pi=pi_hat, base=Geometric(p=p_hat))
+    model = ZeroInflated(pi=float(pi_hat), base=Geometric(p=float(p_hat)))
     ll = loglik(model, s)
     return _fit_result(
         model, ll, 2, SolverInfo(method="closed-form", boundary=boundary, notes=notes)
@@ -333,9 +380,7 @@ def mle_zig(s: FrequencySample) -> FitResult:
 def mle_hg(s: FrequencySample) -> FitResult:
     """Closed-form MLE for the hurdle geometric model."""
     _require_nonzero_mean(s)
-    n, n0, m = s.n, s.n0, s.mean
-    pi_hat = n0 / n
-    p_hat = (n - n0) / (n * m)
+    pi_hat, p_hat = _hg_params(s.n, s.n0, s.mean)
     if p_hat >= 1.0:
         raise EstimationError(
             "degenerate sample: every nonzero count equals 1; the hurdle "
@@ -343,7 +388,7 @@ def mle_hg(s: FrequencySample) -> FitResult:
         )
     model = Hurdle(pi=pi_hat, base=Geometric(p=p_hat))
     ll = loglik(model, s)
-    boundary = n0 == 0
+    boundary = s.n0 == 0
     return _fit_result(
         model, ll, 2, SolverInfo(method="closed-form", boundary=boundary)
     )
@@ -351,7 +396,7 @@ def mle_hg(s: FrequencySample) -> FitResult:
 
 def mle_geometric(s: FrequencySample) -> FitResult:
     """Geometric MLE: p = 1/(1+m); p=1 degenerate for an all-zero sample."""
-    model = Geometric(p=1.0 / (1.0 + s.mean))
+    model = Geometric(p=_geometric_p(s.mean))
     ll = loglik(model, s)
     return _fit_result(model, ll, 1, SolverInfo(method="closed-form"))
 
@@ -377,7 +422,7 @@ def mom_nb(s: FrequencySample) -> FitResult:
         raise UnderDispersedError(
             f"sample variance {s.var:.6g} does not exceed mean {s.mean:.6g}"
         )
-    k_hat = s.mean**2 / (s.var - s.mean)
+    k_hat = _moments_shape(s.mean, s.var)
     p_hat = k_hat / (s.mean + k_hat)
     model = NegBinomial(p=p_hat, k=k_hat)
     ll = loglik(model, s) if s.counts is not None else float("nan")
@@ -386,9 +431,14 @@ def mom_nb(s: FrequencySample) -> FitResult:
 
 def _x_minus_log1p(x: float) -> float:
     """x - log(1 + x) for x > 0, without cancellation when x is small."""
-    if x > 0.01:
-        return x - math.log1p(x)
-    # x^2/2 - x^3/3 + ... to x^9/9; the next term is below 1e-17 relative
+    return x - math.log1p(x) if x > 0.01 else _x_minus_log1p_series(x)
+
+
+def _x_minus_log1p_series(x):
+    """x^2/2 - x^3/3 + ... to x^9/9, elementwise.
+
+    For x <= 0.01 the next term is below 1e-17 relative.
+    """
     return x * x * (1 / 2 - x * (1 / 3 - x * (1 / 4 - x * (1 / 5 - x * (
         1 / 6 - x * (1 / 7 - x * (1 / 8 - x / 9)))))))
 
@@ -445,7 +495,7 @@ def mle_nb(s: FrequencySample) -> FitResult:
         )
     n, m = s.n, s.mean
     score = _nb_profile_score(*s.counts_arrays(), n, m)
-    k_mom = m * m / (s.var - m)
+    k_mom = _moments_shape(m, s.var)
     lo = min(max(_BRACKET_FLOOR, k_mom / 10.0), _BRACKET_CAP)
     hi = max(min(_BRACKET_CAP, k_mom * 10.0), _BRACKET_FLOOR)
     g_lo, g_hi = score(lo)[0], score(hi)[0]
@@ -497,6 +547,80 @@ def mle_nb(s: FrequencySample) -> FitResult:
         notes=notes,
     )
     return _fit_result(model, loglik(model, s), 2, info)
+
+
+def _nb_shape_rows(
+    table: np.ndarray, n: int, m: np.ndarray, var: np.ndarray
+) -> np.ndarray:
+    """`mle_nb`'s shape k for every row of a (rows, L) frequency table.
+
+    Each row holds n values with 0 < mean < var, and the table fits the
+    dense size rule. The rows step in lockstep under `mle_nb`'s rules, row
+    by row: the bracket from the moments shape /10 and *10, widened tenfold
+    within [1e-8, 1e8]; exactly 1e8 where the score is still positive at the
+    cap and 1e-8 where it is not positive at the floor; Newton in log k from
+    the moments shape, bisecting when a step leaves the bracket, until a
+    step below 1e-10. Sums run over the padded row, so k agrees with
+    `mle_nb` to roundoff, not bit for bit: near the Poisson limit that
+    roundoff moves the root by up to about 20*eps*k relative, so rows whose
+    shape comes out above 1e4 are solved again by `mle_nb` itself.
+    """
+    j = np.arange(table.shape[1] - 1, dtype=np.float64)
+    ja = j * (n - np.cumsum(table[:, :-1], axis=1))  # j * A_j per row
+
+    def score(rows: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mr = m[rows]
+        inv = 1.0 / (k[:, None] + j)
+        r = ja[rows] * inv
+        s1, s2 = r.sum(axis=1), (r * inv).sum(axis=1)
+        x = mr / k
+        phi = np.where(x > 0.01, x - np.log1p(x), _x_minus_log1p_series(x))
+        g = n * phi - s1 / k
+        return g, (s1 + k * s2 - n * mr * mr / (mr + k)) / (k * k)
+
+    k_mom = _moments_shape(m, var)
+    lo = np.minimum(np.maximum(_BRACKET_FLOOR, k_mom / 10.0), _BRACKET_CAP)
+    hi = np.maximum(np.minimum(_BRACKET_CAP, k_mom * 10.0), _BRACKET_FLOOR)
+    every = np.arange(len(table))
+    g_lo, g_hi = score(every, lo)[0], score(every, hi)[0]
+    while (grow := np.flatnonzero((g_lo <= 0.0) & (lo > _BRACKET_FLOOR))).size:
+        hi[grow], g_hi[grow] = lo[grow], g_lo[grow]
+        lo[grow] = np.maximum(_BRACKET_FLOOR, lo[grow] / 10.0)
+        g_lo[grow] = score(grow, lo[grow])[0]
+    while (grow := np.flatnonzero((g_hi > 0.0) & (hi < _BRACKET_CAP))).size:
+        lo[grow], g_lo[grow] = hi[grow], g_hi[grow]
+        hi[grow] = np.minimum(_BRACKET_CAP, hi[grow] * 10.0)
+        g_hi[grow] = score(grow, hi[grow])[0]
+    k = np.where(g_hi > 0.0, hi, np.where(g_lo <= 0.0, lo, k_mom))
+    active = np.flatnonzero(~(g_hi > 0.0) & ~(g_lo <= 0.0))
+    k[active] = np.where(
+        (lo < k_mom) & (k_mom < hi), k_mom, np.sqrt(lo * hi)
+    )[active]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            if not active.size:
+                break
+            ka = k[active]
+            g, dg = score(active, ka)
+            lo[active] = np.where(g > 0.0, ka, lo[active])
+            hi[active] = np.where(g > 0.0, hi[active], ka)
+            t = np.log(ka)
+            t_new = np.where(dg < 0.0, t - g / (ka * dg), np.inf)
+            log_lo, log_hi = np.log(lo[active]), np.log(hi[active])
+            outside = ~((log_lo < t_new) & (t_new < log_hi))
+            t_new = np.where(
+                (np.abs(t_new - t) >= 1e-10) & outside, 0.5 * (log_lo + log_hi), t_new
+            )
+            k[active] = np.exp(t_new)
+            active = active[~(np.abs(t_new - t) < 1e-10)]
+    for i in np.flatnonzero(k > _ROWS_K_MAX):
+        counts = np.flatnonzero(table[i])
+        s = FrequencySample(
+            counts=counts, freqs=table[i, counts], n=n, n0=int(table[i, 0]),
+            mean=float(m[i]), var=float(var[i]),
+        )
+        k[i] = mle_nb(s).model.k
+    return k
 
 
 def zig_hg_reparam(pi_zig: float, p: float) -> float:

@@ -16,6 +16,7 @@ from .errors import (
 from .estimate import (
     FitResult,
     FrequencySample,
+    _table_fits,
     mle_geometric,
     mle_hg,
     mle_nb,
@@ -160,6 +161,23 @@ def _merge_structural_zeros(
     return obs, exp, labels
 
 
+def _largest_cell(s: FrequencySample) -> int:
+    """The largest count, checked to give a sane table of cells over 0..largest+1.
+
+    The table is refused past the size rule of `summarize` (largest count
+    against n), where it would cost far more than the sample itself.
+    """
+    max_count = int(s.counts[-1])
+    if max_count < 1:
+        raise DegenerateBinningError("all observations are zero; nothing to bin")
+    if not _table_fits(max_count, s.n):
+        raise DegenerateBinningError(
+            f"largest count {max_count} is too large for a table of cells "
+            f"over 0..{max_count + 1} at n={s.n}"
+        )
+    return max_count
+
+
 def gof_test(
     model: CountModel,
     s: FrequencySample,
@@ -169,9 +187,7 @@ def gof_test(
     """Chi-squared test of the model against the observed histogram."""
     if s.counts is None:
         raise EstimationError("goodness of fit requires the full frequency table")
-    max_count = int(s.counts[-1])
-    if max_count < 1:
-        raise DegenerateBinningError("all observations are zero; nothing to bin")
+    max_count = _largest_cell(s)
     exp = expected_counts(model, s.n, max_count)
     observed = np.zeros(max_count + 2)
     observed[s.counts] = s.freqs

@@ -2,8 +2,15 @@
 
 Random streams come from numpy's default PCG64 generator seeded through
 SeedSequence, so identical (model, n, seed) inputs reproduce the exact
-same counts on any platform. Replicates of an experiment draw from
-spawned child streams and are independent.
+same counts on any platform. Replicate i of a recovery experiment is
+``sample(model, n, child_i)``, child_i being the i-th stream spawned from
+``SeedSequence(seed)``: replicates are independent, and any one can be
+drawn again alone. The experiment tallies the replicates into one
+(replicates, L) frequency table as they are drawn, L being 1 + the largest
+count, and fits all rows at once with array code that matches the scalar
+estimators (closed forms bit for bit, the NB shape to roundoff). Past the
+size rule of `summarize` it fits replicate by replicate instead, so memory
+stays O(n + replicates*L).
 """
 
 from __future__ import annotations
@@ -23,10 +30,16 @@ from .dist import (
     log_pmf_array,
     pmf,
 )
-from .errors import CountFitError, EstimationError, InvalidModelError
+from .errors import CountFitError, InvalidModelError
 from .estimate import (
     FrequencySample,
-    loglik,
+    _geometric_p,
+    _hg_params,
+    _moments_shape,
+    _nb_shape_rows,
+    _summarize_rows,
+    _table_fits,
+    _zig_params,
     mle_geometric,
     mle_hg,
     mle_nb,
@@ -67,49 +80,84 @@ def _poisson(rng: np.random.Generator, lam, n: int | None = None) -> np.ndarray:
         raise CountFitError(f"cannot sample a Poisson mean this large ({exc})") from exc
 
 
-def _sample_base(base: CountModel, n: int, rng: np.random.Generator) -> np.ndarray:
+# ln(1 - u) at the largest float below 1 that rng.random() returns
+_LOG_U_FLOOR = math.log1p(-(1.0 - 2.0**-53))
+
+
+def _base_sampler(base: CountModel):
     if isinstance(base, Poisson):
-        return _poisson(rng, base.mean, n)
+        return lambda rng, n: _poisson(rng, base.mean, n)
     if isinstance(base, Geometric):
         if base.p == 1.0:
-            return np.zeros(n, dtype=np.int64)
-        # inverse CDF: floor(ln(1-U) / ln(q)) has the number-of-failures law
-        u = rng.random(n)
-        return np.floor(np.log1p(-u) / math.log1p(-base.p)).astype(np.int64)
+            return lambda rng, n: np.zeros(n, dtype=np.int64)
+        log_q = math.log1p(-base.p)
+        if _LOG_U_FLOOR / log_q >= 2.0**63:
+            raise CountFitError(
+                f"cannot sample a geometric p={base.p!r} this small: "
+                "its draws can exceed the int64 range"
+            )
+
+        def draw_geometric(rng: np.random.Generator, n: int) -> np.ndarray:
+            # inverse CDF: floor(ln(1-U) / ln(q)) has the number-of-failures law
+            return np.floor(np.log1p(-rng.random(n)) / log_q).astype(np.int64)
+
+        return draw_geometric
     if isinstance(base, NegBinomial):
         if base.p == 1.0:
-            return np.zeros(n, dtype=np.int64)
-        return _poisson(rng, rng.gamma(base.k, (1.0 - base.p) / base.p, n))
+            return lambda rng, n: np.zeros(n, dtype=np.int64)
+        scale = (1.0 - base.p) / base.p
+        return lambda rng, n: _poisson(rng, rng.gamma(base.k, scale, n))
     raise InvalidModelError(f"cannot sample base model {type(base).__name__}")
 
 
-def sample(model: CountModel, n: int, seed) -> np.ndarray:
-    """Draw n counts from the model, deterministically in the seed."""
-    if n < 1:
-        raise CountFitError(f"sample size must be >= 1, got {n!r}")
-    rng = np.random.default_rng(seed)
+def _sampler(model: CountModel):
+    """(rng, n) -> n counts from the model.
+
+    Checks and inverse-CDF tables are made here, once per model, so that
+    the replicates of an experiment share them.
+    """
     if isinstance(model, (Poisson, Geometric, NegBinomial)):
-        return _sample_base(model, n, rng)
+        return _base_sampler(model)
     if isinstance(model, ZeroInflated):
         if model.pi >= 0.0:
-            is_extra_zero = rng.random(n) < model.pi
-            draws = _sample_base(model.base, n, rng)
-            draws[is_extra_zero] = 0
-            return draws
+            base = _base_sampler(model.base)
+
+            def draw_inflated(rng: np.random.Generator, n: int) -> np.ndarray:
+                is_extra_zero = rng.random(n) < model.pi
+                draws = base(rng, n)
+                draws[is_extra_zero] = 0
+                return draws
+
+            return draw_inflated
         # negative mixing weight: the mixture story breaks down, sample the
         # compound pmf directly by inverse CDF
         cum = _inverse_cdf_table(lambda ys: np.exp(log_pmf_array(model, ys)))
-        return np.searchsorted(cum, rng.random(n)).astype(np.int64)
+        return lambda rng, n: np.searchsorted(cum, rng.random(n)).astype(np.int64)
     if isinstance(model, Hurdle):
-        at_zero = rng.random(n) < model.pi
         p0 = pmf(model.base, 0)
         cum = _inverse_cdf_table(
             lambda ys: np.exp(log_pmf_array(model.base, ys)) / (1.0 - p0), start=1
         )
-        draws = 1 + np.searchsorted(cum, rng.random(n)).astype(np.int64)
-        draws[at_zero] = 0
-        return draws
+
+        def draw_hurdle(rng: np.random.Generator, n: int) -> np.ndarray:
+            at_zero = rng.random(n) < model.pi
+            draws = 1 + np.searchsorted(cum, rng.random(n)).astype(np.int64)
+            draws[at_zero] = 0
+            return draws
+
+        return draw_hurdle
     raise InvalidModelError(f"cannot sample model {type(model).__name__}")
+
+
+def _check_size(n: int) -> None:
+    if n < 1:
+        raise CountFitError(f"sample size must be >= 1, got {n!r}")
+
+
+def sample(model: CountModel, n: int, seed) -> np.ndarray:
+    """Draw n counts from the model, deterministically in the seed."""
+    _check_size(n)
+    return _sampler(model)(np.random.default_rng(seed), n)
 
 
 def grid_oracle(
@@ -168,7 +216,8 @@ class RecoveryReport:
     solver_failures: int
 
 
-def _true_params(model: CountModel) -> dict[str, float]:
+def _params(model: CountModel) -> dict[str, float]:
+    """A true or fitted model's parameters, by the names the report uses."""
     if isinstance(model, Poisson):
         return {"m": model.mean}
     if isinstance(model, Geometric):
@@ -182,19 +231,113 @@ def _true_params(model: CountModel) -> dict[str, float]:
     raise InvalidModelError(f"unknown model type {type(model).__name__}")
 
 
+# A fit over the rows of a frequency table: (table, n, n0, mean, var) ->
+# (parameter arrays, mask of the rows the scalar fitter would not reject).
+# Each mask mirrors the conditions under which its scalar fitter raises.
+
+
+def _rows_poisson(table, n, n0, m, var):
+    return {"m": m}, np.ones(m.shape, dtype=bool)
+
+
+def _rows_geometric(table, n, n0, m, var):
+    return {"p": _geometric_p(m)}, np.ones(m.shape, dtype=bool)
+
+
+def _rows_zig(table, n, n0, m, var):
+    pi, p, interior = _zig_params(n, n0, m)
+    return {"pi": pi, "p": p}, (m > 0.0) & interior
+
+
+def _rows_hg(table, n, n0, m, var):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pi, p = _hg_params(n, n0, m)
+    return {"pi": pi, "p": p}, (m > 0.0) & (p < 1.0)
+
+
+def _rows_nb_moments(table, n, n0, m, var):
+    ok = (m > 0.0) & (var > m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = _moments_shape(m, var)
+        return {"p": k / (m + k), "k": k}, ok
+
+
+def _rows_nb_mle(table, n, n0, m, var):
+    ok = (m > 0.0) & (var > m)
+    k = np.full(m.shape, np.nan)
+    k[ok] = _nb_shape_rows(table[ok], n, m[ok], var[ok])
+    return {"p": k / (m + k), "k": k}, ok
+
+
 def _estimators_for(model: CountModel):
+    """method -> (scalar fitter, the same fit over the rows of a table)."""
     if isinstance(model, Poisson):
-        return {"mle": (mle_poisson, lambda f: {"m": f.model.mean})}
+        return {"mle": (mle_poisson, _rows_poisson)}
     if isinstance(model, Geometric):
-        return {"mle": (mle_geometric, lambda f: {"p": f.model.p})}
+        return {"mle": (mle_geometric, _rows_geometric)}
     if isinstance(model, NegBinomial):
-        extract = lambda f: {"p": f.model.p, "k": f.model.k}
-        return {"mle": (mle_nb, extract), "moments": (mom_nb, extract)}
+        return {"mle": (mle_nb, _rows_nb_mle), "moments": (mom_nb, _rows_nb_moments)}
     if isinstance(model, ZeroInflated):
-        return {"mle": (mle_zig, lambda f: {"pi": f.model.pi, "p": f.model.base.p})}
+        return {"mle": (mle_zig, _rows_zig)}
     if isinstance(model, Hurdle):
-        return {"mle": (mle_hg, lambda f: {"pi": f.model.pi, "p": f.model.base.p})}
+        return {"mle": (mle_hg, _rows_hg)}
     raise InvalidModelError(f"unknown model type {type(model).__name__}")
+
+
+def _tally_replicates(draws, b: int, n: int) -> np.ndarray | None:
+    """The (b, L) frequency table of b replicates of n values, L = 1 + largest count.
+
+    Each replicate is tallied as it is drawn. None once the table would
+    break the size rule of `summarize` (b*L cells against b*n values), so
+    memory stays O(n + b*L).
+    """
+    rows, width = [], 1
+    for values in draws:
+        width = max(width, int(values.max()) + 1)
+        if not _table_fits(b * width, b * n):
+            return None
+        rows.append(np.bincount(values))
+    table = np.zeros((b, width), dtype=np.int64)
+    for row, counts in zip(table, rows):
+        row[: counts.size] = counts
+    return table
+
+
+def _fit_replicates(draws, b: int, n: int, estimators) -> dict:
+    """method -> (parameter arrays, success mask) over b replicates of n values.
+
+    ``draws()`` yields the replicates afresh on each call. They are fitted
+    as the rows of one table, or one by one by the scalar estimators where
+    that table would be too large.
+    """
+    table = _tally_replicates(draws(), b, n)
+    if table is not None:
+        stats = _summarize_rows(table)
+        return {meth: rows(table, *stats) for meth, (_, rows) in estimators.items()}
+    params: dict[str, list] = {meth: [] for meth in estimators}
+    for values in draws():
+        s = summarize(values)
+        for meth, (fit_fn, _) in estimators.items():
+            try:
+                params[meth].append(_params(fit_fn(s).model))
+            except CountFitError:
+                params[meth].append(None)
+    out = {}
+    for meth, fits in params.items():
+        names = next((f.keys() for f in fits if f is not None), ())
+        out[meth] = (
+            {k: np.array([np.nan if f is None else f[k] for f in fits]) for k in names},
+            np.array([f is not None for f in fits]),
+        )
+    return out
+
+
+def _mean_in_order(values: np.ndarray) -> float:
+    """The mean, summed in replicate order."""
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total / values.size
 
 
 def recovery_experiment(
@@ -202,46 +345,40 @@ def recovery_experiment(
 ) -> RecoveryReport:
     """Sample-and-refit experiment measuring estimator error.
 
-    Each replicate draws n counts from the true model and fits every
-    applicable estimator. Estimator failures are counted, not raised.
+    Replicate i draws n counts with ``sample(true_model, n, child_i)``,
+    child_i being the i-th stream spawned from ``SeedSequence(seed)``, so
+    results do not depend on how the replicates are fitted. Each replicate
+    is tallied as it is drawn into one (replicates, L) frequency table, L
+    being 1 + the largest count, and every estimator then runs once over
+    all rows as array code, computing parameters only. The closed forms
+    match the scalar `mle_*` bit for bit, the NB shape agrees with `mle_nb`
+    to roundoff, and the rows that fail are those the scalar estimators
+    reject. Where the table would break the size rule of `summarize`
+    (replicates*L cells against replicates*n values), each replicate is
+    summarized and fitted by the scalar estimators instead, so memory stays
+    O(n + replicates*L). Estimator failures are counted, not raised.
     """
     if replicates < 1:
         raise CountFitError(f"replicates must be >= 1, got {replicates!r}")
-    truth = _true_params(true_model)
+    truth = _params(true_model)
     estimators = _estimators_for(true_model)
-    sums: dict[str, dict[str, float]] = {
-        meth: {k: 0.0 for k in truth} for meth in estimators
-    }
-    err_sums: dict[str, dict[str, float]] = {
-        meth: {k: 0.0 for k in truth} for meth in estimators
-    }
-    successes = {meth: 0 for meth in estimators}
-    failures = 0
+    _check_size(n)
+    draw = _sampler(true_model)
     children = np.random.SeedSequence(seed).spawn(replicates)
-    for child in children:
-        counts = sample(true_model, n, child)
-        s = summarize(counts)
-        for meth, (fit_fn, extract) in estimators.items():
-            try:
-                fit = fit_fn(s)
-            except CountFitError:
-                failures += 1
-                continue
-            est = extract(fit)
-            successes[meth] += 1
-            for name, value in est.items():
-                sums[meth][name] += value
-                err_sums[meth][name] += abs(value - truth[name])
-    estimates = {
-        meth: {k: v / successes[meth] for k, v in sums[meth].items()}
-        for meth in estimators
-        if successes[meth] > 0
-    }
-    abs_error = {
-        meth: {k: v / successes[meth] for k, v in err_sums[meth].items()}
-        for meth in estimators
-        if successes[meth] > 0
-    }
+    fits = _fit_replicates(
+        lambda: (draw(np.random.default_rng(c), n) for c in children),
+        replicates,
+        n,
+        estimators,
+    )
+    estimates, abs_error, failures = {}, {}, 0
+    for meth, (params, ok) in fits.items():
+        failures += int(np.count_nonzero(~ok))
+        if ok.any():
+            estimates[meth] = {k: _mean_in_order(params[k][ok]) for k in truth}
+            abs_error[meth] = {
+                k: _mean_in_order(np.abs(params[k][ok] - v)) for k, v in truth.items()
+            }
     return RecoveryReport(
         true_model=true_model,
         n=n,

@@ -1,5 +1,6 @@
 import collections
 import json
+import warnings
 
 import pytest
 
@@ -251,3 +252,40 @@ def test_fit_stdout_when_no_out(even_fixture, capsys):
     assert main(["fit", even_fixture, "--model", "geom"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["model"]["params"]["p"] == pytest.approx(1.0 / 1.5)
+
+
+@pytest.mark.parametrize("command", ["simulate", "recover"])
+def test_tiny_geometric_p_is_an_estimator_error(command, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's int64 cast warning would raise
+        assert main([command, "--model", "geom:p=1e-300", "--n", "5"]) == 4
+    assert "p=1e-300" in capsys.readouterr().err
+
+
+@pytest.fixture
+def huge_count_csv(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("count,frequency\n0,5\n1000000000000,1\n")
+    return str(path)
+
+
+def test_gof_cells_past_the_size_rule_are_skipped(huge_count_csv, tmp_path, capsys):
+    out = tmp_path / "fit.json"
+    quiet = ["--out", str(out), "--quiet"]
+    assert main(["fit", huge_count_csv, "--model", "nb", *quiet]) == 0
+    assert json.loads(out.read_text())["model"]["gof"] is None
+    families = ["nb", "zig", "hg", "geom", "poisson"]
+    assert main(["compare", huge_count_csv, "--models", *families, *quiet]) == 0
+    models = json.loads(out.read_text())["models"]
+    assert [m["family"] for m in models] == families
+    assert all(m["gof"] is None for m in models)
+    assert main(["figure", huge_count_csv, "--models", "nb", "geom"]) == 4
+    err = capsys.readouterr().err
+    assert "largest count 1000000000000" in err and "n=6" in err
+
+
+def test_figure_all_zero_sample_is_an_estimator_error(tmp_path, capsys):
+    path = tmp_path / "zeros.csv"
+    path.write_text("count,frequency\n0,5\n")
+    assert main(["figure", str(path), "--models", "geom", "poisson"]) == 4
+    assert "all observations are zero" in capsys.readouterr().err

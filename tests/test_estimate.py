@@ -233,6 +233,21 @@ def test_mle_zig_no_zeros_boundary():
     assert fit.model.pi + (1.0 - fit.model.pi) * p == pytest.approx(0.0, abs=1e-12)
 
 
+@given(
+    st.dictionaries(st.integers(1, 10**6), st.integers(1, 10**6), min_size=1, max_size=8)
+    .filter(lambda freq: max(freq) >= 2)
+)
+@settings(max_examples=300)
+def test_mle_zig_without_zeros_is_a_flagged_boundary(freq):
+    fit = mle_zig(summarize(freq))
+    assert fit.solver.boundary
+    p = fit.model.base.p
+    # the positive counts alone fix p = n / sum(y); pi sits on its floor
+    n, total = sum(freq.values()), sum(y * f for y, f in freq.items())
+    assert p == pytest.approx(n / total, rel=1e-12)
+    assert fit.model.pi == -p / (1.0 - p)
+
+
 def test_mle_hg_direct_formula():
     fit = mle_hg(FrequencySample.from_summary(100, 50, 1.0))
     assert fit.model.pi == pytest.approx(0.5)

@@ -1,10 +1,24 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_model
+from countfit import sim
 from countfit.dist import Geometric, Hurdle, NegBinomial, Poisson, ZeroInflated, moments, pmf
 from countfit.errors import CountFitError
-from countfit.estimate import loglik, mle_zig, summarize
+from countfit.estimate import (
+    _summarize_rows,
+    mle_geometric,
+    mle_hg,
+    mle_nb,
+    mle_poisson,
+    mle_zig,
+    mom_nb,
+    summarize,
+)
 from countfit.sim import grid_oracle, recovery_experiment, sample
 
 
@@ -59,6 +73,29 @@ def test_zero_deflated_sample_has_fewer_zeros():
 def test_sample_validations():
     with pytest.raises(CountFitError):
         sample(Geometric(p=0.5), 0, 1)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        Geometric(p=1e-300),
+        Geometric(p=3.9e-18),
+        ZeroInflated(pi=0.2, base=Geometric(p=1e-300)),
+    ],
+)
+def test_sample_geometric_p_past_int64_is_a_typed_error(model):
+    # floor(ln(1-U)/ln(1-p)) reaches 36.7/p, past 2**63 for p below about 3.98e-18
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CountFitError, match=r"p=.*e-"):
+            sample(model, 5, 0)
+
+
+def test_sample_geometric_p_just_inside_int64():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = sample(Geometric(p=4.1e-18), 1000, 0)
+    assert draws.min() >= 0
 
 
 # --- grid oracle -----------------------------------------------------------
@@ -139,3 +176,152 @@ def test_recovery_determinism():
     b = recovery_experiment(model, n=200, replicates=5, seed=9)
     assert a.estimates == b.estimates
     assert a.abs_error == b.abs_error
+
+
+def test_recovery_tiny_geometric_p_is_a_typed_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CountFitError, match="p=1e-300"):
+            recovery_experiment(Geometric(p=1e-300), n=5, replicates=3, seed=0)
+
+
+def _scalar_recovery(model, n, reps, seed):
+    """Per-replicate public calls: sample each spawned child, summarize, fit."""
+    fitters = {
+        Poisson: {"mle": mle_poisson},
+        Geometric: {"mle": mle_geometric},
+        NegBinomial: {"mle": mle_nb, "moments": mom_nb},
+        ZeroInflated: {"mle": mle_zig},
+        Hurdle: {"mle": mle_hg},
+    }[type(model)]
+    fits = {meth: [] for meth in fitters}
+    for child in np.random.SeedSequence(seed).spawn(reps):
+        s = summarize(sample(model, n, child))
+        for meth, fit_fn in fitters.items():
+            try:
+                fits[meth].append(sim._params(fit_fn(s).model))
+            except CountFitError:
+                fits[meth].append(None)
+    return fits
+
+
+@pytest.mark.parametrize(
+    "model, n",
+    [
+        (Poisson(mean=2.5), 300),
+        (Geometric(p=0.3), 300),
+        (NegBinomial(p=0.6 / 3.1, k=0.6), 300),
+        (NegBinomial(p=50 / 53.39, k=50.0), 200),  # near-Poisson: some replicates fail
+        (ZeroInflated(pi=-0.0256, base=Geometric(p=0.3109)), 300),
+        (ZeroInflated(pi=0.9, base=Geometric(p=0.9)), 40),  # nonzero counts often all 1
+        (Hurdle(pi=0.05, base=Geometric(p=0.95)), 20),
+        (NegBinomial(p=0.5 / 1e9, k=0.5), 20),  # counts far past the table rule
+    ],
+)
+def test_recovery_matches_per_replicate_scalar_fits(model, n):
+    reps, seed = 30, 13
+    report = recovery_experiment(model, n, reps, seed)
+    fits = _scalar_recovery(model, n, reps, seed)
+    failures = sum(f is None for per in fits.values() for f in per)
+    assert report.solver_failures == failures
+    for meth, per in fits.items():
+        ok = [f for f in per if f is not None]
+        if not ok:
+            assert meth not in report.estimates
+            continue
+        for k, truth in report.true_params.items():
+            values = [f[k] for f in ok]
+            assert report.estimates[meth][k] == pytest.approx(np.mean(values), rel=1e-9)
+            errors = [abs(v - truth) for v in values]
+            assert report.abs_error[meth][k] == pytest.approx(np.mean(errors), rel=1e-9)
+
+
+# --- batched row fits against the scalar estimators -----------------------
+
+# {0: 65859, 1: 24609, 2: 9553}: var - mean = 1e-10, so the NB shape sits on
+# the 1e8 cap (the Poisson limit)
+_CAP_ROW = np.repeat([0, 1, 2], [65859, 24609, 9553])
+# {0: 65850, 1: 24611, 2: 9560}, as many values: an interior NB shape near 1.17e6
+_LARGE_K_ROW = np.repeat([0, 1, 2], [65850, 24611, 9560])
+_ROW_KINDS = (
+    "zeros", "ones", "no_zeros", "nb", "poisson", "binomial", "cap", "large_k", "huge"
+)
+
+
+def _row(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "zeros":
+        return np.zeros(n, dtype=np.int64)
+    if kind == "ones":  # every nonzero count is 1
+        return rng.integers(0, 2, n)
+    if kind == "no_zeros":
+        return rng.geometric(rng.uniform(0.2, 0.9), n)
+    if kind == "nb":
+        return rng.negative_binomial(rng.uniform(0.1, 5.0), rng.uniform(0.1, 0.9), n)
+    if kind == "poisson":  # near-Poisson: over- or under-dispersed by chance
+        return rng.poisson(rng.uniform(0.5, 5.0), n)
+    if kind == "binomial":  # under-dispersed
+        return rng.binomial(4, 0.5, n)
+    if kind == "cap":
+        return rng.permutation(_CAP_ROW)
+    if kind == "large_k":
+        return rng.permutation(_LARGE_K_ROW)
+    values = rng.integers(0, 5, n)  # "huge": one count far past the table rule
+    values[0] = 10**12
+    return values
+
+
+_ALL_ESTIMATORS = {
+    f"{family} {meth}": pair
+    for family, model in [
+        ("poisson", Poisson(mean=1.0)),
+        ("geom", Geometric(p=0.5)),
+        ("nb", NegBinomial(p=0.5, k=1.0)),
+        ("zig", ZeroInflated(pi=0.1, base=Geometric(p=0.5))),
+        ("hg", Hurdle(pi=0.1, base=Geometric(p=0.5))),
+    ]
+    for meth, pair in sim._estimators_for(model).items()
+}
+
+
+@given(
+    kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=5),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_row_fits_match_scalar_fits(kinds, n, seed):
+    rng = np.random.default_rng(seed)
+    if {"cap", "large_k"} & set(kinds):
+        n = _CAP_ROW.size
+    rows = [_row(kind, n, rng).astype(np.int64) for kind in kinds]
+    b = len(rows)
+    table = sim._tally_replicates(iter(rows), b, n)
+    if "huge" in kinds:
+        assert table is None
+    samples = [summarize(values) for values in rows]
+    if table is not None:
+        n_rows, n0, mean, var = _summarize_rows(table)
+        for i, s in enumerate(samples):
+            assert (n_rows, n0[i], mean[i]) == (s.n, s.n0, s.mean)
+            assert var[i] == pytest.approx(s.var, rel=1e-12, abs=0.0)
+    fits = sim._fit_replicates(lambda: iter(rows), b, n, _ALL_ESTIMATORS)
+    for name, (fit_fn, _) in _ALL_ESTIMATORS.items():
+        params, ok = fits[name]
+        for i, s in enumerate(samples):
+            try:
+                want = sim._params(fit_fn(s).model)
+            except CountFitError:
+                want = None
+            assert bool(ok[i]) == (want is not None), (name, kinds[i])
+            if want is None:
+                continue
+            for k, v in want.items():
+                got = float(params[k][i])
+                if name == "nb mle":
+                    assert got == pytest.approx(v, rel=1e-9), (name, k, kinds[i])
+                elif name == "nb moments":
+                    assert got == pytest.approx(v, rel=1e-12), (name, k, kinds[i])
+                else:
+                    assert got == v, (name, k, kinds[i])
+            if name == "nb mle" and want["k"] in (1e8, 1e-8):
+                assert float(params["k"][i]) == want["k"]
