@@ -28,7 +28,7 @@ from .errors import CountFitError, EstimationError, InputFormatError
 from .estimate import FitResult, FrequencySample, summarize
 from .gof import FAMILIES, GofResult, compare_models, expected_counts, gof_test
 from .gof import _FITTERS as FITTERS
-from .gof import _largest_cell
+from .gof import _cells
 from .sim import recovery_experiment, sample
 
 EXIT_OK = 0
@@ -242,7 +242,8 @@ def cmd_compare(args) -> int:
 
 def cmd_figure(args) -> int:
     s, digest = read_frequency_file(args.data)
-    max_count = _largest_cell(s)
+    observed = _cells(s).freqs.tolist()
+    max_count = len(observed) - 2
     fits = {}
     for family in args.models:
         fits[family] = FITTERS[family](s)
@@ -253,7 +254,7 @@ def cmd_figure(args) -> int:
     }
     for y in range(max_count + 1):
         rows.append(
-            [str(y), str(s.freq.get(y, 0))]
+            [str(y), str(observed[y])]
             + [repr(expecteds[f][y]) for f in args.models]
         )
     rows.append(

@@ -169,7 +169,11 @@ def log_pmf_array(model: CountModel, ys) -> np.ndarray:
     if isinstance(model, ZeroInflated):
         pi = model.pi
         mass0 = pi + (1.0 - pi) * pmf(model.base, 0)
-        at0 = math.log(mass0) if mass0 > 0.0 else _NEG_INF
+        # at the floor P(0) is exactly zero; the sum above rounds to about ±eps
+        if mass0 <= 0.0 or pi == _zero_inflation_floor(model.base) < 0.0:
+            at0 = _NEG_INF
+        else:
+            at0 = math.log(mass0)
         if pi >= 1.0:
             return np.where(y == 0, at0, _NEG_INF)
         return np.where(y == 0, at0, math.log1p(-pi) + log_pmf_array(model.base, y))

@@ -1,4 +1,31 @@
-"""Chi-squared goodness of fit with tail pooling, AIC and model comparison."""
+"""Chi-squared goodness of fit with tail pooling, AIC and model comparison.
+
+The cells of a sample whose largest count is M are the counts 0..M and a
+tail cell for M+1 and up. A cell expects n*pmf(y); the tail cell expects
+n*(1 - the pmf summed over 0..M) and observes 0. Three rules turn the
+cells into the bins of the test:
+
+1. A cell that expects exactly 0 folds into the next cell up that expects
+   more; a zero run at the top folds into the last such cell instead.
+2. The upper tail pools as `pool_tail` says: the last bin absorbs the one
+   below it while more than MIN_BINS bins remain and both expect less
+   than the threshold.
+3. chi2 is the sum of (o - e)**2 / e over the bins, left to right, and
+   df = bins - 1 - fitted parameters.
+
+A bin label matches ``\\d+(,\\d+)*\\+?``: the counts of its cells joined by
+commas ("0,1" holds a folded zero cell), with "+" on the last bin, whose
+last listed count stands for itself and every count above it. A pooled
+last bin is its first count and "+" ("12+").
+
+Cost of one test over M + 2 cells that end as B bins: the log-pmf and the
+zero check are O(M) numpy work; the fold is O(M) numpy work too, and runs
+only when some count's cell expects exactly 0 (a zero tail cell just
+drops into the cell below); pooling is a Python loop over the pooled
+cells only; labels, `Bin` records and chi2 are O(B) Python.
+`compare_models` builds the observed cells and the cell names once per
+sample and shares them across its families.
+"""
 
 from __future__ import annotations
 
@@ -90,13 +117,39 @@ class ComparisonReport:
     notes: tuple[str, ...] = ()
 
 
+def _expected(model: CountModel, n: int, ys: np.ndarray) -> tuple[np.ndarray, float]:
+    """n*pmf over the counts ``ys`` = 0..max_count, and the tail cell's n*(1 - sum)."""
+    probs = np.exp(log_pmf_array(model, ys))
+    return n * probs, n * max(0.0, 1.0 - float(np.sum(probs)))
+
+
 def expected_counts(model: CountModel, n: int, max_count: int) -> list[float]:
     """Expected frequencies n*pmf(y) for y in [0, max_count] plus a tail cell."""
     if max_count < 1:
         raise InvalidModelError(f"max_count must be >= 1, got {max_count!r}")
-    probs = np.exp(log_pmf_array(model, np.arange(max_count + 1)))
-    tail = max(0.0, 1.0 - float(np.sum(probs)))
-    return (n * probs).tolist() + [n * tail]
+    cells, tail = _expected(model, n, np.arange(max_count + 1))
+    return cells.tolist() + [tail]
+
+
+def _pool(observed: list, expected: list, threshold: float) -> tuple[int, float, float]:
+    """The tail pooling rule: bins left, and the last bin's observed and expected.
+
+    ``observed`` may run past ``expected``; the cells beyond are not read.
+    Only the pooled cells are visited, and each is added to the running
+    tail in the order of a one-cell-at-a-time merge, so the sums are the
+    same bits. The lists are not changed.
+    """
+    if threshold <= 0.0:
+        raise CountFitError(f"pooling threshold must be > 0, got {threshold!r}")
+    k = len(expected)
+    if k < MIN_BINS:
+        raise DegenerateBinningError(f"pooling left only {k} bins (< {MIN_BINS})")
+    obs, exp = observed[k - 1], expected[k - 1]
+    while k > MIN_BINS and exp < threshold and expected[k - 2] < threshold:
+        k -= 1
+        obs = observed[k - 1] + obs
+        exp = expected[k - 1] + exp
+    return k, obs, exp
 
 
 def pool_tail(
@@ -107,66 +160,63 @@ def pool_tail(
 ) -> list[Bin]:
     """Merge sparse upper-tail cells until the tail clears the threshold.
 
-    Pooling proceeds from the largest count downward and stops at the
-    first cell whose own expected frequency reaches the threshold; lower
-    cells are never touched.
+    Pooling proceeds from the largest count downward: the last cell
+    absorbs the one below it while more than MIN_BINS cells remain and
+    both its own expected frequency and that of the cell below are under
+    the threshold. Lower cells are never touched. A pooled last bin is
+    labelled with the first count of its label and "+".
     """
     if len(observed) != len(expected):
         raise CountFitError("observed and expected must have equal length")
-    if threshold <= 0.0:
-        raise CountFitError(f"pooling threshold must be > 0, got {threshold!r}")
-    labels = list(labels) if labels is not None else [str(y) for y in range(len(expected))]
-    obs = list(observed)
-    exp = list(expected)
-    pooled = False
-    while len(exp) > MIN_BINS and exp[-1] < threshold and exp[-2] < threshold:
-        last_obs = obs.pop()
-        last_exp = exp.pop()
-        obs[-1] += last_obs
-        exp[-1] += last_exp
-        labels.pop()
-        pooled = True
-    if pooled:
+    obs, exp = list(observed), list(expected)
+    k, last_obs, last_exp = _pool(obs, exp, threshold)
+    labels = list(labels)[:k] if labels is not None else [str(y) for y in range(k)]
+    if k < len(exp):
         labels[-1] = f"{labels[-1].split(',')[0]}+"
-    if len(exp) < MIN_BINS:
-        raise DegenerateBinningError(
-            f"pooling left only {len(exp)} bins (< {MIN_BINS})"
-        )
-    return [Bin(label=l, observed=o, expected=e) for l, o, e in zip(labels, obs, exp)]
+    del obs[k:], exp[k:]
+    obs[-1], exp[-1] = last_obs, last_exp
+    return list(map(Bin, labels, obs, exp))
+
+
+def _chi2(observed: list[float], expected: list[float]) -> float:
+    # left to right with Python's float pow, not numpy's x*x: the two
+    # differ in the last bit for some values
+    return sum((o - e) ** 2 / e for o, e in zip(observed, expected))
 
 
 def chi2_statistic(bins: list[Bin]) -> float:
     """Pearson statistic sum (obs - exp)^2 / exp over the pooled bins."""
     if any(b.expected <= 0.0 for b in bins):
         raise CountFitError("chi-squared statistic undefined for expected <= 0")
-    return sum((b.observed - b.expected) ** 2 / b.expected for b in bins)
+    return _chi2([b.observed for b in bins], [b.expected for b in bins])
 
 
-def _merge_structural_zeros(
-    observed: list[float], expected: list[float], labels: list[str]
-) -> tuple[list[float], list[float], list[str]]:
-    """Fold zero-probability cells into their right neighbor (left for the last)."""
-    labels = list(labels)
-    i = 0
-    obs, exp = list(observed), list(expected)
-    while i < len(exp):
-        if exp[i] == 0.0:
-            j = i + 1 if i + 1 < len(exp) else i - 1
-            exp[j] += exp[i]
-            obs[j] += obs[i]
-            labels[j] = f"{labels[i]},{labels[j]}" if j > i else f"{labels[j]},{labels[i]}"
-            del exp[i], obs[i], labels[i]
-        else:
-            i += 1
-    return obs, exp, labels
+@dataclass(frozen=True)
+class _Cells:
+    """A sample's GOF cells 0..largest+1, built once and shared by every model."""
+
+    n: int
+    ys: np.ndarray  # the counts 0..largest, where the pmf is evaluated
+    freqs: np.ndarray  # int64 observed frequency per cell; the tail cell's is 0
+    observed: list[float]  # the same frequencies as floats
+    names: list[str]  # str(y) for the first len(names) cells, grown on demand
+
+    def names_to(self, end: int) -> list[str]:
+        """The shared list of cell names, made to cover the cells below ``end``."""
+        if len(self.names) < end:
+            self.names.extend(map(str, range(len(self.names), end)))
+        return self.names
 
 
-def _largest_cell(s: FrequencySample) -> int:
-    """The largest count, checked to give a sane table of cells over 0..largest+1.
+def _cells(s: FrequencySample) -> _Cells:
+    """The cell table of a sample, checked to be sane.
 
-    The table is refused past the size rule of `summarize` (largest count
-    against n), where it would cost far more than the sample itself.
+    The table is refused for an all-zero sample, and past the size rule of
+    `summarize` (largest count against n), where it would cost far more
+    than the sample itself.
     """
+    if s.counts is None:
+        raise EstimationError("goodness of fit requires the full frequency table")
     max_count = int(s.counts[-1])
     if max_count < 1:
         raise DegenerateBinningError("all observations are zero; nothing to bin")
@@ -175,7 +225,68 @@ def _largest_cell(s: FrequencySample) -> int:
             f"largest count {max_count} is too large for a table of cells "
             f"over 0..{max_count + 1} at n={s.n}"
         )
-    return max_count
+    freqs = np.zeros(max_count + 2, dtype=np.int64)
+    freqs[s.counts] = s.freqs
+    return _Cells(
+        s.n, np.arange(max_count + 1), freqs, freqs.astype(np.float64).tolist(), []
+    )
+
+
+def _fold_zero_cells(
+    freqs: np.ndarray, expected: np.ndarray
+) -> tuple[list[float], list[float], np.ndarray]:
+    """Fold each zero-expected cell into the next live cell up.
+
+    A zero run at the top folds into the last live cell instead. Returns
+    the folded observed and expected lists and the first cell of each bin.
+    Observed sums are exact while n < 2**53; expected values are unchanged,
+    since only zeros are added to them. Some cell is live: the tail cell
+    holds n*(1 - sum) when every other cell expects 0.
+    """
+    live = np.flatnonzero(expected)
+    starts = np.concatenate(([0], live[:-1] + 1))
+    observed = np.add.reduceat(freqs, starts, dtype=np.float64)
+    return observed.tolist(), expected[live].tolist(), starts
+
+
+def _gof(model: CountModel, cells: _Cells, n_params: int, threshold: float) -> GofResult:
+    expected, tail = _expected(model, cells.n, cells.ys)
+    if expected.all():
+        # a zero tail cell (observed 0 too) folds into the largest count
+        # without changing it, so it is left out of exp
+        observed, exp, starts = cells.observed, expected.tolist(), None
+        if tail > 0.0:
+            exp.append(tail)
+    else:
+        observed, exp, starts = _fold_zero_cells(cells.freqs, np.append(expected, tail))
+    k, last_obs, last_exp = _pool(observed, exp, threshold)
+    pooled = k < len(exp)
+    obs = observed[:k]
+    del exp[k:]
+    obs[-1], exp[-1] = last_obs, last_exp
+    chi2 = _chi2(obs, exp)
+    df = k - 1 - n_params
+    if df < 1:
+        raise DegenerateBinningError(f"df = {k} bins - 1 - {n_params} params = {df} < 1")
+    if starts is None:
+        labels = cells.names_to(k)[:k]
+        # the tail cell or the pooled tail from k - 1 up, or the largest
+        # count with the zero tail cell folded in
+        labels[-1] = f"{k - 1}+" if pooled or tail > 0.0 else f"{k - 1},{k}+"
+    else:
+        first = starts[:k].tolist()
+        ends = first[1:] + [int(starts[k]) if pooled else len(cells.observed)]
+        names = cells.names_to(ends[-1])
+        labels = [",".join(names[a:b]) for a, b in zip(first, ends)]
+        labels[-1] = f"{first[-1]}+" if pooled else labels[-1] + "+"
+    return GofResult(
+        bins=tuple(map(Bin, labels, obs, exp)),
+        chi2=chi2,
+        df=df,
+        p_value=chi2_survival(chi2, df),
+        n_params=n_params,
+        pooling_threshold=threshold,
+    )
 
 
 def gof_test(
@@ -184,31 +295,16 @@ def gof_test(
     n_params: int,
     threshold: float = 1.0,
 ) -> GofResult:
-    """Chi-squared test of the model against the observed histogram."""
-    if s.counts is None:
-        raise EstimationError("goodness of fit requires the full frequency table")
-    max_count = _largest_cell(s)
-    exp = expected_counts(model, s.n, max_count)
-    observed = np.zeros(max_count + 2)
-    observed[s.counts] = s.freqs
-    obs = observed.tolist()
-    labels = [str(y) for y in range(max_count + 1)] + [f"{max_count + 1}+"]
-    obs, exp, labels = _merge_structural_zeros(obs, exp, labels)
-    bins = pool_tail(obs, exp, threshold, labels=labels)
-    chi2 = chi2_statistic(bins)
-    df = len(bins) - 1 - n_params
-    if df < 1:
-        raise DegenerateBinningError(
-            f"df = {len(bins)} bins - 1 - {n_params} params = {df} < 1"
-        )
-    return GofResult(
-        bins=tuple(bins),
-        chi2=chi2,
-        df=df,
-        p_value=chi2_survival(chi2, df),
-        n_params=n_params,
-        pooling_threshold=threshold,
-    )
+    """Chi-squared test of the model against the observed histogram.
+
+    The bins come from the cells 0..largest count plus a tail cell, by the
+    fold, pool and label rules of this module's docstring. Observed values
+    are exact while n < 2**53, and expected values and chi2 are the same
+    bits as folding and pooling one cell at a time. Raises
+    DegenerateBinningError for an all-zero sample, a largest count past
+    `summarize`'s table size rule, fewer than MIN_BINS bins or df < 1.
+    """
+    return _gof(model, _cells(s), n_params, threshold)
 
 
 def aic(loglik: float, n_params: int) -> float:
@@ -226,22 +322,28 @@ def compare_models(
     """Fit each requested family, test its fit, and rank by AIC.
 
     Estimator failures (e.g. NB on under-dispersed data) become error
-    entries instead of aborting the report.
+    entries instead of aborting the report. The sample's GOF cells are
+    built once and shared by every family's test.
     """
     if not families:
         raise CountFitError("at least one model family is required")
     unknown = [f for f in families if f not in _FITTERS]
     if unknown:
         raise CountFitError(f"unknown families: {unknown}; choose from {FAMILIES}")
+    try:
+        cells: _Cells | None = _cells(s)
+    except CountFitError:
+        cells = None
     entries: list[ModelEntry] = []
     for family in families:
         try:
             fit = _FITTERS[family](s)
-            gof: GofResult | None
-            try:
-                gof = gof_test(fit.model, s, fit.n_params, threshold)
-            except CountFitError:
-                gof = None
+            gof: GofResult | None = None
+            if cells is not None:
+                try:
+                    gof = _gof(fit.model, cells, fit.n_params, threshold)
+                except CountFitError:
+                    pass
             entries.append(ModelEntry(family=family, fit=fit, gof=gof))
         except CountFitError as exc:
             entries.append(ModelEntry(family=family, fit=None, gof=None, error=str(exc)))

@@ -1,12 +1,15 @@
 import collections
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
 from countfit.cli import main, parse_model_spec, read_frequency_file
 from countfit.dist import NegBinomial, ZeroInflated
 from countfit.errors import InputFormatError
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -166,6 +169,16 @@ def test_figure_output(zig_fixture, tmp_path, capsys):
     assert observed_total == 100
     for col in (2, 3):
         assert sum(float(r[col]) for r in rows) == pytest.approx(100.0, abs=1e-6)
+
+
+def test_figure_csv_bytes_for_a_gapped_sample(tmp_path):
+    # recorded before the figure table moved onto the shared cell arrays;
+    # the gaps (3, 6, 8-10, 13-18) are rows with observed 0
+    data = DATA / "figure_gapped.csv"
+    out = tmp_path / "fig.csv"
+    models = ["nb", "zig", "hg", "geom", "poisson"]
+    assert main(["figure", str(data), "--models", *models, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "figure_gapped_expected.csv").read_bytes()
 
 
 def test_simulate_degenerate(tmp_path):

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from countfit.dist import Geometric, Hurdle, ZeroInflated
 from countfit.errors import (
@@ -10,7 +12,7 @@ from countfit.errors import (
     DegenerateBinningError,
     EstimationError,
 )
-from countfit.estimate import mle_zig, summarize
+from countfit.estimate import mle_hg, mle_zig, summarize
 from countfit.gof import (
     Bin,
     aic,
@@ -209,3 +211,35 @@ def test_pooling_preserves_statistic_for_proportional_cells():
     stat_pooled = chi2_statistic(bins)
     # each cell has obs = exp/2, so both statistics equal sum(exp)/4
     assert stat_pooled <= stat_unpooled + 1e-12
+
+
+def _gof_outcome(fit, s):
+    try:
+        g = gof_test(fit.model, s, fit.n_params)
+    except CountFitError as exc:
+        return type(exc)
+    return [b.label for b in g.bins], g.df
+
+
+def test_zig_floor_example_bins_like_hg():
+    s = summarize({1: 117, 2: 73, 3: 52, 4: 22, 5: 21, 6: 11, 7: 7, 8: 3, 9: 2, 10: 1, 11: 2, 18: 1})
+    zig, hg = mle_zig(s), mle_hg(s)
+    assert expected_counts(zig.model, s.n, 1)[0] == 0.0
+    labels, df = _gof_outcome(zig, s)
+    assert labels[:2] == ["0,1", "2"] and df == 9
+    assert _gof_outcome(hg, s) == (labels, df)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.integers(1, 80), st.integers(1, 300), min_size=1, max_size=40).filter(
+        lambda freq: max(freq) >= 2
+    )
+)
+def test_zig_floor_on_zero_free_samples_has_no_zero_cell(freq):
+    # mle_zig puts pi exactly on its floor -p/(1-p), where P(0) is 0: the
+    # zero cell must be a structural zero, binned as HG's (pi = 0) is
+    s = summarize(freq)
+    zig, hg = mle_zig(s), mle_hg(s)
+    assert expected_counts(zig.model, s.n, 1)[0] == 0.0
+    assert _gof_outcome(zig, s) == _gof_outcome(hg, s)
