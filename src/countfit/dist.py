@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InvalidModelError, ParameterBoundError
 
@@ -140,6 +139,53 @@ def make_hurdle(base: BaseModel, pi: float) -> Hurdle:
     return Hurdle(pi=pi, base=base)
 
 
+def _table_fits(largest: int, n: int) -> bool:
+    """Whether a dense table over 0..largest costs at most a few cells per value."""
+    return largest <= 4 * n + 1024
+
+
+def _sums_below(y: np.ndarray, steps) -> np.ndarray | None:
+    """For each count in ``y``, the sum of steps(j) over j < y; None past the size rule.
+
+    One cumsum over 0..largest count; the rule keeps that table within a
+    few cells per count asked for.
+    """
+    largest = int(y.max()) if y.size else 0
+    if not _table_fits(largest, y.size):
+        return None
+    table = np.zeros(largest + 1)
+    np.cumsum(steps(np.arange(largest, dtype=np.float64)), out=table[1:])
+    return table[y.astype(np.intp)]
+
+
+def _per_distinct(y: np.ndarray, fn) -> np.ndarray:
+    """fn over the distinct counts of ``y``, spread back over ``y``."""
+    distinct, at = np.unique(y, return_inverse=True)
+    return np.array([fn(v) for v in distinct.tolist()])[at].reshape(y.shape)
+
+
+def _log_factorial(y: np.ndarray) -> np.ndarray:
+    """ln y!: the sum of log1p(j) over j < y, or ``math.lgamma`` past the size rule."""
+    sums = _sums_below(y, np.log1p)
+    return sums if sums is not None else _per_distinct(y, lambda v: math.lgamma(v + 1.0))
+
+
+def _log_nb_coefficient(y: np.ndarray, k: float) -> np.ndarray:
+    """ln Gamma(y + k) - ln Gamma(k) - ln y!, elementwise.
+
+    Within the size rule this is y*ln k + the sum of log1p(j/k) - log1p(j)
+    over j < y, so near the Poisson limit (k large) no two terms of size
+    ln Gamma(k) cancel. Past the rule it is ``math.lgamma`` over the
+    distinct counts, where ln Gamma(k) does cancel: about eps * k ln k
+    absolute at large k.
+    """
+    sums = _sums_below(y, lambda j: np.log1p(j / k) - np.log1p(j))
+    if sums is not None:
+        return y * math.log(k) + sums
+    lg_k = math.lgamma(k)
+    return _per_distinct(y, lambda v: math.lgamma(v + k) - lg_k - math.lgamma(v + 1.0))
+
+
 def log_pmf_array(model: CountModel, ys) -> np.ndarray:
     """ln P(Y=y) for each count in ``ys``; -inf where the pmf is exactly zero.
 
@@ -150,7 +196,7 @@ def log_pmf_array(model: CountModel, ys) -> np.ndarray:
     if isinstance(model, Poisson):
         if model.mean == 0.0:
             return _point_mass_at_zero(y)
-        return y * math.log(model.mean) - model.mean - gammaln(y + 1.0)
+        return y * math.log(model.mean) - model.mean - _log_factorial(y)
     if isinstance(model, Geometric):
         if model.p == 1.0:
             return _point_mass_at_zero(y)
@@ -159,13 +205,7 @@ def log_pmf_array(model: CountModel, ys) -> np.ndarray:
         p, k = model.p, model.k
         if p == 1.0:
             return _point_mass_at_zero(y)
-        return (
-            gammaln(y + k)
-            - gammaln(y + 1.0)
-            - gammaln(k)
-            + k * math.log(p)
-            + y * math.log1p(-p)
-        )
+        return _log_nb_coefficient(y, k) + k * math.log(p) + y * math.log1p(-p)
     if isinstance(model, ZeroInflated):
         pi = model.pi
         mass0 = pi + (1.0 - pi) * pmf(model.base, 0)

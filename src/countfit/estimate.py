@@ -18,7 +18,6 @@ from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
-from scipy import special as _sp
 
 from .dist import (
     CountModel,
@@ -27,6 +26,7 @@ from .dist import (
     NegBinomial,
     Poisson,
     ZeroInflated,
+    _table_fits,
     log_pmf_array,
 )
 from .errors import (
@@ -35,6 +35,7 @@ from .errors import (
     InvalidModelError,
     UnderDispersedError,
 )
+from .specfn import _digamma, _trigamma, _x_minus_log1p, _x_minus_log1p_series
 
 __all__ = [
     "FrequencySample",
@@ -185,11 +186,6 @@ def _values(data: Iterable[int]) -> np.ndarray:
     if arr.ndim != 1:
         raise EstimationError("counts must be a flat sequence")
     return arr.astype(np.int64, copy=False)
-
-
-def _table_fits(largest: int, n: int) -> bool:
-    """Whether a dense table over 0..largest costs at most a few cells per value."""
-    return largest <= 4 * n + 1024
 
 
 def _tally(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -429,20 +425,6 @@ def mom_nb(s: FrequencySample) -> FitResult:
     return _fit_result(model, ll, 2, SolverInfo(method="moments"))
 
 
-def _x_minus_log1p(x: float) -> float:
-    """x - log(1 + x) for x > 0, without cancellation when x is small."""
-    return x - math.log1p(x) if x > 0.01 else _x_minus_log1p_series(x)
-
-
-def _x_minus_log1p_series(x):
-    """x^2/2 - x^3/3 + ... to x^9/9, elementwise.
-
-    For x <= 0.01 the next term is below 1e-17 relative.
-    """
-    return x * x * (1 / 2 - x * (1 / 3 - x * (1 / 4 - x * (1 / 5 - x * (
-        1 / 6 - x * (1 / 7 - x * (1 / 8 - x / 9)))))))
-
-
 def _nb_profile_score(ys: np.ndarray, fs: np.ndarray, n: int, m: float):
     """k -> (g(k), g'(k)): the NB score in k with p = k/(m+k) substituted.
 
@@ -467,8 +449,8 @@ def _nb_profile_score(ys: np.ndarray, fs: np.ndarray, n: int, m: float):
     else:
 
         def score(k: float) -> tuple[float, float]:
-            g = float(np.sum(fs * (_sp.psi(ys + k) - _sp.psi(k))))
-            dg = float(np.sum(fs * (_sp.polygamma(1, ys + k) - _sp.polygamma(1, k))))
+            g = float(np.sum(fs * (_digamma(ys + k) - _digamma(k))))
+            dg = float(np.sum(fs * (_trigamma(ys + k) - _trigamma(k))))
             return g - n * math.log1p(m / k), dg + n * m / (k * (m + k))
 
     return score

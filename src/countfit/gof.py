@@ -29,11 +29,12 @@ sample and shares them across its families.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import CountModel, log_pmf_array
+from .dist import CountModel, _table_fits, log_pmf_array
 from .errors import (
     CountFitError,
     DegenerateBinningError,
@@ -43,7 +44,6 @@ from .errors import (
 from .estimate import (
     FitResult,
     FrequencySample,
-    _table_fits,
     mle_geometric,
     mle_hg,
     mle_nb,
@@ -279,6 +279,14 @@ def _gof(model: CountModel, cells: _Cells, n_params: int, threshold: float) -> G
         names = cells.names_to(ends[-1])
         labels = [",".join(names[a:b]) for a, b in zip(first, ends)]
         labels[-1] = f"{first[-1]}+" if pooled else labels[-1] + "+"
+    if chi2 == math.inf:
+        # (o - e)**2 stays below n**2, so only an expected count near the
+        # bottom of the float range can overflow a term
+        i = max(range(k), key=lambda i: (obs[i] - exp[i]) ** 2 / exp[i])
+        raise CountFitError(
+            f"bin {labels[i]!r} expects {exp[i]!r} against {obs[i]!r} observed: "
+            "its chi-squared term overflows"
+        )
     return GofResult(
         bins=tuple(map(Bin, labels, obs, exp)),
         chi2=chi2,
@@ -302,7 +310,9 @@ def gof_test(
     are exact while n < 2**53, and expected values and chi2 are the same
     bits as folding and pooling one cell at a time. Raises
     DegenerateBinningError for an all-zero sample, a largest count past
-    `summarize`'s table size rule, fewer than MIN_BINS bins or df < 1.
+    `summarize`'s table size rule, fewer than MIN_BINS bins or df < 1, and
+    CountFitError naming the bin when a chi-squared term overflows (a bin
+    expecting about 1e-300 or less that holds an observation).
     """
     return _gof(model, _cells(s), n_params, threshold)
 

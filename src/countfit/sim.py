@@ -27,6 +27,7 @@ from .dist import (
     NegBinomial,
     Poisson,
     ZeroInflated,
+    _table_fits,
     log_pmf_array,
     pmf,
 )
@@ -38,7 +39,6 @@ from .estimate import (
     _moments_shape,
     _nb_shape_rows,
     _summarize_rows,
-    _table_fits,
     _zig_params,
     mle_geometric,
     mle_hg,
@@ -71,6 +71,20 @@ def _inverse_cdf_table(probs, start: int = 0) -> np.ndarray:
         if size >= _TABLE_CAP:
             raise CountFitError("inverse-CDF table did not converge")
         size = min(2 * size, _TABLE_CAP)
+
+
+def _check_table_length(base: CountModel) -> None:
+    """Refuse up front a geometric base whose inverse-CDF table would pass the cap.
+
+    Past L counts the geometric tail is (1-p)^L, so the table needs at
+    least ln(1e-12)/ln(1-p) counts; the doubling would otherwise build ever
+    larger tables up to the cap before it gave up.
+    """
+    if isinstance(base, Geometric) and math.log(_TAIL_MASS) / math.log1p(-base.p) > _TABLE_CAP:
+        raise CountFitError(
+            f"cannot sample a geometric p={base.p!r} this small by inverse CDF: "
+            f"its table would need more than {_TABLE_CAP} counts"
+        )
 
 
 def _poisson(rng: np.random.Generator, lam, n: int | None = None) -> np.ndarray:
@@ -131,9 +145,11 @@ def _sampler(model: CountModel):
             return draw_inflated
         # negative mixing weight: the mixture story breaks down, sample the
         # compound pmf directly by inverse CDF
+        _check_table_length(model.base)
         cum = _inverse_cdf_table(lambda ys: np.exp(log_pmf_array(model, ys)))
         return lambda rng, n: np.searchsorted(cum, rng.random(n)).astype(np.int64)
     if isinstance(model, Hurdle):
+        _check_table_length(model.base)
         p0 = pmf(model.base, 0)
         cum = _inverse_cdf_table(
             lambda ys: np.exp(log_pmf_array(model.base, ys)) / (1.0 - p0), start=1

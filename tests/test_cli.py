@@ -1,5 +1,6 @@
 import collections
 import json
+import time
 import warnings
 from pathlib import Path
 
@@ -273,6 +274,16 @@ def test_tiny_geometric_p_is_an_estimator_error(command, capsys):
         warnings.simplefilter("error")  # numpy's int64 cast warning would raise
         assert main([command, "--model", "geom:p=1e-300", "--n", "5"]) == 4
     assert "p=1e-300" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["hg:pi=5e-324,p=5e-324", "zig:pi=-1e-300,p=1e-300"])
+def test_inverse_cdf_table_past_the_cap_is_refused_up_front(spec, capsys):
+    # the table would need ln(1e-12)/ln(1-p) counts; building ever larger
+    # ones up to the cap took seconds and hundreds of MB before giving up
+    start = time.perf_counter()
+    assert main(["recover", "--model", spec, "--n", "5", "--reps", "2"]) == 4
+    assert time.perf_counter() - start < 0.5
+    assert "inverse CDF" in capsys.readouterr().err
 
 
 @pytest.fixture

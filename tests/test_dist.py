@@ -133,6 +133,19 @@ def test_log_pmf_array_against_scipy_stats(model):
     assert log_pmf_array(model, ys.astype(np.float64)).tolist() == got.tolist()
 
 
+@pytest.mark.parametrize(
+    "model",
+    [Poisson(mean=3.7), Poisson(mean=250.0), NegBinomial(p=0.3, k=0.45), NegBinomial(p=0.02, k=60.0)],
+    ids=repr,
+)
+def test_log_pmf_array_table_and_lgamma_paths_agree(model):
+    # counts 0..299 take the cumsum table; one huge count puts the same
+    # counts past the table size rule, onto math.lgamma
+    dense = np.arange(300)
+    past_rule = log_pmf_array(model, np.append(dense, 10**7))[:-1]
+    np.testing.assert_allclose(log_pmf_array(model, dense), past_rule, rtol=1e-12, atol=1e-12)
+
+
 def test_pmf_rejects_negative_count():
     with pytest.raises(InvalidModelError):
         pmf(Geometric(p=0.5), -1)

@@ -173,6 +173,48 @@ def test_loglik_two_accumulations_agree(rng):
             )
 
 
+def _mp_nb_loglik(model, s):
+    """NB log-likelihood of the sample at 50 digits, from the float p and k."""
+    with mpmath.workdps(50):
+        p, k = mpmath.mpf(model.p), mpmath.mpf(model.k)
+        per_value = mpmath.loggamma(k) - k * mpmath.log(p)
+        terms = (
+            f * (mpmath.loggamma(y + k) - mpmath.loggamma(y + 1) + y * mpmath.log1p(-p)
+                 - per_value)
+            for y, f in zip(s.counts.tolist(), s.freqs.tolist())
+        )
+        return mpmath.fsum(terms)
+
+
+# near the Poisson limit ln Gamma(y+k) - ln Gamma(k) cancels two terms of
+# about k ln k: taken that way the error is 2.2e-7, 1.9e-6 and -5.2e-3 at
+# k = 1e4, 1e6 and 1e8 on this sample
+@hypothesis.example(freq={0: 65859, 1: 24609, 2: 9553}, log10_k=4.0)
+@hypothesis.example(freq={0: 65859, 1: 24609, 2: 9553}, log10_k=6.0)
+@hypothesis.example(freq={0: 65859, 1: 24609, 2: 9553}, log10_k=8.0)
+@given(
+    freq=st.dictionaries(st.integers(0, 40), st.integers(1, 10**5), min_size=1, max_size=12),
+    log10_k=st.floats(-2.0, 8.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_nb_loglik_matches_mpmath_up_to_the_poisson_limit(freq, log10_k):
+    s = summarize(freq)
+    k = 10.0**log10_k
+    # p as the profile likelihood pairs it with k
+    model = NegBinomial(p=k / (max(s.mean, 0.1) + k), k=k)
+    want = _mp_nb_loglik(model, s)
+    assert loglik(model, s) == pytest.approx(float(want), rel=1e-12, abs=1e-12)
+
+
+def test_nb_aic_exceeds_poisson_by_two_at_the_cap():
+    # at the cap k = 1e8 the NB pmf is the Poisson pmf up to O(m^2/k), so
+    # the AIC gap is the one extra parameter; cancellation made it 2.0104
+    s = summarize({0: 65859, 1: 24609, 2: 9553})
+    nb, poisson = mle_nb(s), mle_poisson(s)
+    assert nb.model.k == 1e8
+    assert nb.aic - poisson.aic == pytest.approx(2.0, abs=1e-6)
+
+
 # --- closed-form estimators ------------------------------------------------
 
 
@@ -438,16 +480,18 @@ def overdispersed_samples(draw):
         mean = draw(st.floats(0.2, 20.0))
         n = draw(st.integers(20, 3000))
         draw_once = lambda: rng.negative_binomial(k, k / (mean + k), n)
-        accept = lambda y: y.var() > y.mean()
+        accept = lambda s: s.var > s.mean
     else:
         mean = draw(st.floats(0.5, 10.0))
         n = draw(st.integers(500, 3000))
         draw_once = lambda: rng.poisson(mean, n)
-        accept = lambda y: 0.0 < y.var() / y.mean() - 1.0 < 1e-3
+        accept = lambda s: s.mean > 0.0 and 0.0 < s.var / s.mean - 1.0 < 1e-3
+    # accept on summarize's own moments: numpy's var and mean can order
+    # differently, as for {0: 333, 1: 140, 2: 22, 3: 4, 4: 1} (both 0.4)
     for _ in range(20_000):
-        y = draw_once()
-        if accept(y):
-            return summarize(y)
+        s = summarize(draw_once())
+        if accept(s):
+            return s
     hypothesis.reject()
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from countfit.dist import Geometric, Hurdle, ZeroInflated
+from countfit.dist import Geometric, Hurdle, Poisson, ZeroInflated
 from countfit.errors import (
     CountFitError,
     DegenerateBinningError,
@@ -243,3 +243,11 @@ def test_zig_floor_on_zero_free_samples_has_no_zero_cell(freq):
     zig, hg = mle_zig(s), mle_hg(s)
     assert expected_counts(zig.model, s.n, 1)[0] == 0.0
     assert _gof_outcome(zig, s) == _gof_outcome(hg, s)
+
+
+def test_overflowing_chi2_term_is_a_named_error():
+    # count 39 expects about 1.6e-322 under this model, so its term is inf
+    model = Hurdle(pi=0.3, base=Poisson(mean=900.0))
+    s = summarize({0: 1, 39: 1})
+    with pytest.raises(CountFitError, match="bin '39' expects .* overflows"):
+        gof_test(model, s, 2, 1.0)

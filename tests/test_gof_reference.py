@@ -16,7 +16,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from countfit.dist import Geometric, Hurdle, NegBinomial, Poisson, ZeroInflated
-from countfit.errors import CountFitError, DegenerateBinningError, EstimationError
+from countfit.errors import (
+    CountFitError,
+    DegenerateBinningError,
+    DomainError,
+    EstimationError,
+)
 from countfit.estimate import summarize
 from countfit import gof
 from countfit.gof import _FITTERS, Bin, expected_counts, gof_test, pool_tail
@@ -108,6 +113,11 @@ def _outcome(fn, *args):
 def _assert_same_gof(model, s, n_params, threshold):
     want = _outcome(_ref_gof, model, s, n_params, threshold)
     got = _outcome(gof_test, model, s, n_params, threshold)
+    if want[:2] == ("raised", DomainError) and want[2].endswith("got inf"):
+        # the loop hands an overflowing chi2 to chi2_survival; gof_test
+        # names the bin whose term overflows instead
+        assert got[:2] == ("raised", CountFitError) and "overflows" in got[2], model
+        return
     if want[0] == "raised" or got[0] == "raised":
         assert got == want, model
         return

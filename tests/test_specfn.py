@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sp
 
 from countfit.errors import DomainError
-from countfit.specfn import chi2_survival, digamma, ln_gamma, trigamma
+from countfit.specfn import _digamma, _trigamma, chi2_survival, digamma, ln_gamma, trigamma
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -93,3 +95,60 @@ def test_chi2_survival_domain_errors():
         chi2_survival(-0.1, 3)
     with pytest.raises(DomainError):
         chi2_survival(1.0, 0)
+
+
+# --- against scipy.special (a test-only dependency) -------------------------
+
+_DFS = sorted({*range(1, 41), *np.geomspace(41, 5000, 60).astype(int).tolist()})
+
+
+@pytest.mark.parametrize("df", _DFS)
+def test_chi2_survival_matches_scipy_gammaincc(df):
+    # from 1e-3*df up through the centre to far past underflow
+    for stat in np.geomspace(1e-3 * df, 40.0 * df + 3000.0, 400).tolist():
+        want = float(sp.gammaincc(df / 2.0, stat / 2.0))
+        got = chi2_survival(stat, df)
+        if want == 0.0:
+            assert got <= 1e-300, (df, stat, got)
+        elif want >= 1e-300:
+            assert got == pytest.approx(want, rel=1e-11), (df, stat)
+
+
+def test_chi2_survival_far_tail_is_zero_and_fast():
+    # the prefactor underflows: no expansion runs at all
+    assert chi2_survival(1e6, 3) == 0.0
+    assert chi2_survival(1e300, 5000) == 0.0
+    assert chi2_survival(1e-300, 5000) == 1.0
+
+
+def test_chi2_survival_huge_df_converges():
+    # both expansions need O(sqrt(df)) terms near the centre
+    for df in (10**5, 10**6):
+        for stat in (0.99 * df, df - 1.0, float(df), df + 3.0, 1.01 * df):
+            assert chi2_survival(stat, df) == pytest.approx(
+                float(sp.gammaincc(df / 2.0, stat / 2.0)), rel=1e-10
+            )
+
+
+_GRID = np.concatenate([np.geomspace(1e-8, 1e8, 4001), np.linspace(0.01, 30.0, 6001)])
+
+
+def test_digamma_matches_scipy_psi():
+    want = sp.psi(_GRID)
+    got = _digamma(_GRID)
+    # psi has a root at 1.4616...; there only an absolute error of a few
+    # ulps of the shifted terms (about 2) is meaningful
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + 1e-15)
+    assert [digamma(x) for x in _GRID[::400].tolist()] == got[::400].tolist()
+
+
+def test_trigamma_matches_scipy_polygamma():
+    want = sp.polygamma(1, _GRID)
+    got = _trigamma(_GRID)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    assert [trigamma(x) for x in _GRID[::400].tolist()] == got[::400].tolist()
+
+
+def test_ln_gamma_matches_scipy_gammaln():
+    for x in _GRID[::10].tolist():
+        assert ln_gamma(x) == pytest.approx(float(sp.gammaln(x)), rel=1e-13, abs=1e-15)
