@@ -139,9 +139,18 @@ def make_hurdle(base: BaseModel, pi: float) -> Hurdle:
     return Hurdle(pi=pi, base=base)
 
 
+# The most cells any dense table over counts may have, however many values
+# it serves: 10 million cells, 80 MB as float64.
+_TABLE_CAP = 10_000_000
+
+
 def _table_fits(largest: int, n: int) -> bool:
-    """Whether a dense table over 0..largest costs at most a few cells per value."""
-    return largest <= 4 * n + 1024
+    """Whether a dense table over 0..largest costs at most a few cells per value.
+
+    The table also stays within `_TABLE_CAP`, so a sample whose frequencies
+    near 2**63 never asks numpy for an array that large.
+    """
+    return largest <= min(4 * n + 1024, _TABLE_CAP)
 
 
 def _sums_below(y: np.ndarray, steps) -> np.ndarray | None:

@@ -2,7 +2,14 @@
 
 Random streams come from numpy's default PCG64 generator seeded through
 SeedSequence, so identical (model, n, seed) inputs reproduce the exact
-same counts on any platform. Replicate i of a recovery experiment is
+same counts on any platform. An NB sample is drawn by inverse CDF, one
+uniform per value looked up in a cumulative table of its pmf (exact up to
+the 1e-12 tail the table leaves out). The table is built once per model and
+sample size, and only where it passes the size rule of `summarize` against
+the values drawn; past it, and for the NB base of an inflated ZIG, each
+value is a Poisson draw of a gamma variate.
+
+Replicate i of a recovery experiment is
 ``sample(model, n, child_i)``, child_i being the i-th stream spawned from
 ``SeedSequence(seed)``: replicates are independent, and any one can be
 drawn again alone. The experiment tallies the replicates into one
@@ -27,8 +34,10 @@ from .dist import (
     NegBinomial,
     Poisson,
     ZeroInflated,
+    _TABLE_CAP,
     _table_fits,
     log_pmf_array,
+    moments,
     pmf,
 )
 from .errors import CountFitError, InvalidModelError
@@ -52,38 +61,52 @@ from .estimate import (
 __all__ = ["sample", "grid_oracle", "recovery_experiment", "RecoveryReport"]
 
 _TAIL_MASS = 1e-12
-_TABLE_CAP = 10_000_000
 
 
-def _inverse_cdf_table(probs, start: int = 0) -> np.ndarray:
+def _inverse_cdf_table(probs, start: int = 0, n: int | None = None) -> np.ndarray | None:
     """Cumulative probabilities from ``start`` until tail mass < 1e-12.
 
     ``probs`` maps an array of counts to their probabilities. The range is
     doubled until it covers all but the tail mass, so the table costs a few
-    array calls, not one pmf call per count.
+    array calls, not one pmf call per count. Given ``n``, the number of
+    values the table serves, the table is None unless its length passes the
+    size rule of `summarize` against n; the doubling stops as soon as it
+    cannot.
     """
     size = 64
     while True:
         cum = np.cumsum(probs(np.arange(start, start + size)))
         covered = np.flatnonzero(cum >= 1.0 - _TAIL_MASS)
         if covered.size:
-            return cum[: covered[0] + 1]
+            cum = cum[: covered[0] + 1]
+            return cum if n is None or _table_fits(cum.size, n) else None
+        if n is not None and not _table_fits(size + 1, n):
+            return None  # the covering table is longer than this one
         if size >= _TABLE_CAP:
             raise CountFitError("inverse-CDF table did not converge")
         size = min(2 * size, _TABLE_CAP)
 
 
 def _check_table_length(base: CountModel) -> None:
-    """Refuse up front a geometric base whose inverse-CDF table would pass the cap.
+    """Refuse up front a base whose inverse-CDF table would pass the cap.
 
     Past L counts the geometric tail is (1-p)^L, so the table needs at
-    least ln(1e-12)/ln(1-p) counts; the doubling would otherwise build ever
-    larger tables up to the cap before it gave up.
+    least ln(1e-12)/ln(1-p) counts. A Poisson or NB table must reach past
+    the mean. The doubling would otherwise build ever larger tables up to
+    the cap before it gave up.
     """
-    if isinstance(base, Geometric) and math.log(_TAIL_MASS) / math.log1p(-base.p) > _TABLE_CAP:
+    if isinstance(base, Geometric):
+        if math.log(_TAIL_MASS) / math.log1p(-base.p) > _TABLE_CAP:
+            raise CountFitError(
+                f"cannot sample a geometric p={base.p!r} this small by inverse CDF: "
+                f"its table would need more than {_TABLE_CAP} counts"
+            )
+        return
+    mean = moments(base).mean
+    if mean > _TABLE_CAP:
         raise CountFitError(
-            f"cannot sample a geometric p={base.p!r} this small by inverse CDF: "
-            f"its table would need more than {_TABLE_CAP} counts"
+            f"cannot sample a {type(base).__name__} base of mean {mean!r} by "
+            f"inverse CDF: its table would need more than {_TABLE_CAP} counts"
         )
 
 
@@ -98,12 +121,17 @@ def _poisson(rng: np.random.Generator, lam, n: int | None = None) -> np.ndarray:
 _LOG_U_FLOOR = math.log1p(-(1.0 - 2.0**-53))
 
 
-def _base_sampler(base: CountModel):
+def _base_sampler(base: CountModel, n: int):
+    """rng -> n counts from a base model, each drawn by its own construction.
+
+    Poisson by numpy's Poisson, geometric by the closed-form inverse CDF, and
+    NB as a Poisson of a gamma variate.
+    """
     if isinstance(base, Poisson):
-        return lambda rng, n: _poisson(rng, base.mean, n)
+        return lambda rng: _poisson(rng, base.mean, n)
     if isinstance(base, Geometric):
         if base.p == 1.0:
-            return lambda rng, n: np.zeros(n, dtype=np.int64)
+            return lambda rng: np.zeros(n, dtype=np.int64)
         log_q = math.log1p(-base.p)
         if _LOG_U_FLOOR / log_q >= 2.0**63:
             raise CountFitError(
@@ -111,34 +139,50 @@ def _base_sampler(base: CountModel):
                 "its draws can exceed the int64 range"
             )
 
-        def draw_geometric(rng: np.random.Generator, n: int) -> np.ndarray:
+        def draw_geometric(rng: np.random.Generator) -> np.ndarray:
             # inverse CDF: floor(ln(1-U) / ln(q)) has the number-of-failures law
             return np.floor(np.log1p(-rng.random(n)) / log_q).astype(np.int64)
 
         return draw_geometric
     if isinstance(base, NegBinomial):
         if base.p == 1.0:
-            return lambda rng, n: np.zeros(n, dtype=np.int64)
+            return lambda rng: np.zeros(n, dtype=np.int64)
         scale = (1.0 - base.p) / base.p
-        return lambda rng, n: _poisson(rng, rng.gamma(base.k, scale, n))
+        return lambda rng: _poisson(rng, rng.gamma(base.k, scale, n))
     raise InvalidModelError(f"cannot sample base model {type(base).__name__}")
 
 
-def _sampler(model: CountModel):
-    """(rng, n) -> n counts from the model.
+def _table_sampler(cum: np.ndarray, n: int, start: int = 0):
+    """rng -> n counts by inverse CDF: one uniform per value, looked up in ``cum``."""
+    return lambda rng: start + np.searchsorted(cum, rng.random(n)).astype(np.int64)
 
-    Checks and inverse-CDF tables are made here, once per model, so that
-    the replicates of an experiment share them.
+
+def _sampler(model: CountModel, n: int):
+    """rng -> n counts from the model.
+
+    Checks and inverse-CDF tables are made here, once per model and sample
+    size, so that the replicates of an experiment share them. An NB with
+    p < 1 is drawn by inverse CDF from a table of its pmf, one uniform per
+    value, where the table passes the size rule of `summarize` against n;
+    past the rule (huge means, tiny k) it is drawn as a Poisson of a gamma
+    variate. Either way the choice depends on (model, n) alone, so
+    ``sample(model, n, seed)`` draws what a recovery replicate of n values
+    draws from the same stream. Deflated ZIGs and hurdles are drawn from a
+    table too; Poisson, geometric and inflated ZIG draws are not.
     """
+    if isinstance(model, NegBinomial) and model.p < 1.0:
+        cum = _inverse_cdf_table(lambda ys: np.exp(log_pmf_array(model, ys)), n=n)
+        if cum is not None:
+            return _table_sampler(cum, n)
     if isinstance(model, (Poisson, Geometric, NegBinomial)):
-        return _base_sampler(model)
+        return _base_sampler(model, n)
     if isinstance(model, ZeroInflated):
         if model.pi >= 0.0:
-            base = _base_sampler(model.base)
+            base = _base_sampler(model.base, n)
 
-            def draw_inflated(rng: np.random.Generator, n: int) -> np.ndarray:
+            def draw_inflated(rng: np.random.Generator) -> np.ndarray:
                 is_extra_zero = rng.random(n) < model.pi
-                draws = base(rng, n)
+                draws = base(rng)
                 draws[is_extra_zero] = 0
                 return draws
 
@@ -147,17 +191,18 @@ def _sampler(model: CountModel):
         # compound pmf directly by inverse CDF
         _check_table_length(model.base)
         cum = _inverse_cdf_table(lambda ys: np.exp(log_pmf_array(model, ys)))
-        return lambda rng, n: np.searchsorted(cum, rng.random(n)).astype(np.int64)
+        return _table_sampler(cum, n)
     if isinstance(model, Hurdle):
         _check_table_length(model.base)
         p0 = pmf(model.base, 0)
         cum = _inverse_cdf_table(
             lambda ys: np.exp(log_pmf_array(model.base, ys)) / (1.0 - p0), start=1
         )
+        positive = _table_sampler(cum, n, start=1)
 
-        def draw_hurdle(rng: np.random.Generator, n: int) -> np.ndarray:
+        def draw_hurdle(rng: np.random.Generator) -> np.ndarray:
             at_zero = rng.random(n) < model.pi
-            draws = 1 + np.searchsorted(cum, rng.random(n)).astype(np.int64)
+            draws = positive(rng)
             draws[at_zero] = 0
             return draws
 
@@ -173,7 +218,7 @@ def _check_size(n: int) -> None:
 def sample(model: CountModel, n: int, seed) -> np.ndarray:
     """Draw n counts from the model, deterministically in the seed."""
     _check_size(n)
-    return _sampler(model)(np.random.default_rng(seed), n)
+    return _sampler(model, n)(np.random.default_rng(seed))
 
 
 def grid_oracle(
@@ -379,10 +424,10 @@ def recovery_experiment(
     truth = _params(true_model)
     estimators = _estimators_for(true_model)
     _check_size(n)
-    draw = _sampler(true_model)
+    draw = _sampler(true_model, n)
     children = np.random.SeedSequence(seed).spawn(replicates)
     fits = _fit_replicates(
-        lambda: (draw(np.random.default_rng(c), n) for c in children),
+        lambda: (draw(np.random.default_rng(c)) for c in children),
         replicates,
         n,
         estimators,

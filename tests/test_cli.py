@@ -1,5 +1,8 @@
 import collections
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -11,6 +14,7 @@ from countfit.dist import NegBinomial, ZeroInflated
 from countfit.errors import InputFormatError
 
 DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -313,3 +317,42 @@ def test_figure_all_zero_sample_is_an_estimator_error(tmp_path, capsys):
     path.write_text("count,frequency\n0,5\n")
     assert main(["figure", str(path), "--models", "geom", "poisson"]) == 4
     assert "all observations are zero" in capsys.readouterr().err
+
+
+_EDGE_SCRIPT = r"""
+import sys
+
+from countfit.cli import main
+
+csv, out = sys.argv[1:]
+families = ["nb", "zig", "hg", "geom", "poisson"]
+runs = [["fit", csv, "--model", f] for f in families] + [
+    ["compare", csv, "--models", *families],
+    ["figure", csv, "--models", *families],
+]
+for argv in runs:
+    print(main([*argv, "--out", out, "--quiet"]), flush=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "row", ["9223372036854775807,9223372036854775807", "4000000000000000000,3000000000000000000"]
+)
+def test_counts_and_frequencies_near_int64_keep_the_exit_code_contract(row, tmp_path):
+    # dense tables over 0..largest count were sized by n alone: the NB score's
+    # bincount corrupted the heap (exit 134), the GOF cells raised numpy's
+    # ValueError (exit 1)
+    csv = tmp_path / "edge.csv"
+    csv.write_text(f"count,frequency\n0,3\n{row}\n")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _EDGE_SCRIPT, str(csv), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    codes = [int(line) for line in proc.stdout.split()]
+    assert len(codes) == 7 and set(codes) <= {0, 2, 3, 4}

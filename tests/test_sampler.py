@@ -1,0 +1,90 @@
+"""The samplers against independent oracles: scipy.stats pmfs and numpy's own draws.
+
+Every test here has a fixed seed and is deterministic. The chi-squared tests
+would each fail a correct sampler with probability ALPHA at a fresh seed;
+over the five NB cases that is a false-alarm budget of 5 * ALPHA = 0.5%.
+"""
+
+import time
+
+import numpy as np
+import pytest
+from scipy import stats
+
+from countfit import sim
+from countfit.dist import NegBinomial, Poisson, log_pmf_array
+from countfit.sim import sample
+
+ALPHA = 1e-3
+N = 200_000
+
+
+def _nb(m: float, k: float) -> NegBinomial:
+    return NegBinomial(p=k / (m + k), k=k)
+
+
+def _chi2_p_value(draws: np.ndarray, pmf, n: int) -> float:
+    """Pearson chi-squared p-value of the histogram of ``draws`` against ``pmf``.
+
+    Cells 0..c each expect at least 5 values, c being the last such count;
+    everything above c is one pooled tail cell. No parameter is fitted, so
+    the test has (cells - 1) degrees of freedom.
+    """
+    ys = np.arange(int(draws.max()) + 2)
+    expected = n * pmf(ys)
+    c = int(np.flatnonzero(expected >= 5.0)[-1])
+    observed = np.bincount(draws, minlength=ys.size)
+    obs = np.append(observed[: c + 1], observed[c + 1 :].sum())
+    exp = np.append(expected[: c + 1], n - expected[: c + 1].sum())
+    if exp[-1] < 5.0:  # fold a thin tail into the last full cell
+        obs = np.append(obs[:-2], obs[-2:].sum())
+        exp = np.append(exp[:-2], exp[-2:].sum())
+    chi2 = float(np.sum((obs - exp) ** 2 / exp))
+    return float(stats.chi2.sf(chi2, obs.size - 1))
+
+
+@pytest.mark.parametrize(
+    "m, k, seed",
+    [
+        (2.8235, 0.4240, 101),  # the three NB recovery scenarios
+        (4.6102, 0.6193, 102),
+        (3.39, 50.0, 103),
+        (20.0, 2.5, 104),  # k > 1
+        (5.0, 0.05, 105),  # k < 0.1: a long table, most mass at 0
+    ],
+)
+def test_nb_draws_match_the_scipy_pmf(m, k, seed):
+    model = _nb(m, k)
+    # the case is drawn from the inverse-CDF table, not the gamma-Poisson fallback
+    table = sim._inverse_cdf_table(lambda ys: np.exp(log_pmf_array(model, ys)), n=N)
+    assert table is not None
+    draws = sample(model, N, seed)
+    assert draws.dtype == np.int64 and draws.size == N and draws.min() >= 0
+    p_value = _chi2_p_value(draws, lambda ys: stats.nbinom.pmf(ys, k, model.p), N)
+    assert p_value > ALPHA
+
+
+@pytest.mark.parametrize("mean, n, seed", [(3.39, 1893, 323), (0.0, 10, 1), (1e6, 1000, 7)])
+def test_poisson_draws_are_numpys_poisson(mean, n, seed):
+    expected = np.random.default_rng(seed).poisson(mean, n)
+    assert np.array_equal(sample(Poisson(mean=mean), n, seed), expected)
+
+
+@pytest.mark.parametrize(
+    "m, k, n",
+    [
+        (1e9, 0.5, 20),  # the table would reach far past the size rule
+        (1e9, 0.5, 1000),
+        (5.0, 0.05, 20),  # 2,181 entries against a rule of 1,104 at n = 20
+        (1e12, 3.0, 50_000),  # past the absolute cap however large n is
+    ],
+)
+def test_nb_past_the_size_rule_draws_gamma_then_poisson(m, k, n):
+    model = _nb(m, k)
+    seed = 17
+    start = time.perf_counter()
+    draws = sample(model, n, seed)
+    assert time.perf_counter() - start < 0.5
+    rng = np.random.default_rng(seed)
+    expected = rng.poisson(rng.gamma(k, (1.0 - model.p) / model.p, n))
+    assert np.array_equal(draws, expected)

@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -89,6 +90,18 @@ def test_sample_geometric_p_past_int64_is_a_typed_error(model):
         warnings.simplefilter("error")
         with pytest.raises(CountFitError, match=r"p=.*e-"):
             sample(model, 5, 0)
+
+
+@pytest.mark.parametrize(
+    "base", [Poisson(mean=1e9), NegBinomial(p=0.5 / (1e9 + 0.5), k=0.5)]
+)
+def test_hurdle_table_past_the_cap_is_refused_up_front(base):
+    # a base mean past the cap: the doubling built tables up to 10 million
+    # counts (1.4 s, 560 MB) before it gave up
+    start = time.perf_counter()
+    with pytest.raises(CountFitError, match="inverse CDF"):
+        sample(Hurdle(pi=0.3, base=base), 5, 0)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_sample_geometric_p_just_inside_int64():
