@@ -218,8 +218,14 @@ def log_pmf_array(model: CountModel, ys) -> np.ndarray:
     if isinstance(model, ZeroInflated):
         pi = model.pi
         mass0 = pi + (1.0 - pi) * pmf(model.base, 0)
-        # at the floor P(0) is exactly zero; the sum above rounds to about ±eps
-        if mass0 <= 0.0 or pi == _zero_inflation_floor(model.base) < 0.0:
+        # at the floor P(0) is exactly zero; the sum above rounds to about ±eps.
+        # `mle_zig` may raise a geometric floor by an ulp or two, to where
+        # pi + (1 - pi) p (with p itself, not exp(log p)) is exactly zero
+        if (
+            mass0 <= 0.0
+            or pi == _zero_inflation_floor(model.base) < 0.0
+            or (isinstance(model.base, Geometric) and pi + (1.0 - pi) * model.base.p <= 0.0)
+        ):
             at0 = _NEG_INF
         else:
             at0 = math.log(mass0)

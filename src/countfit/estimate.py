@@ -327,14 +327,20 @@ def _zig_params(n, n0, m):
 
     The third value says where the maximizer is interior to the p axis:
     false where every nonzero count equals 1 (or the mean is zero). With
-    no zeros the estimate is the floor pi = -p/(1-p) itself, so roundoff
-    cannot put it below the admissible interval.
+    no zeros the estimate is the floor pi = -p/(1-p), raised by the fewest
+    ulps (at most a few) that keep P(0) = pi + (1-pi)p from rounding below
+    zero: the reported pair then gives P(0) >= 0 wherever it is evaluated,
+    not only inside `log_pmf_array`, and pi stays in the admissible interval.
     """
     m = np.asarray(m, dtype=np.float64)  # no ZeroDivisionError where p = 1
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = m * n - n + n0
         p = (n - n0) / (m * n)
         pi = np.where(n0 == 0, -p / (1.0 - p), (m * n0 - n + n0) / denom)
+        low = pi + (1.0 - pi) * p < 0.0
+        while np.any(low):
+            pi = np.where(low, np.nextafter(pi, 0.0), pi)
+            low = pi + (1.0 - pi) * p < 0.0
     return pi, p, denom > 0.0
 
 

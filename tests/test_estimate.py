@@ -275,6 +275,17 @@ def test_mle_zig_no_zeros_boundary():
     assert fit.model.pi + (1.0 - fit.model.pi) * p == pytest.approx(0.0, abs=1e-12)
 
 
+
+def test_mle_zig_floor_p0_does_not_round_below_zero():
+    # here fl(-p/(1-p)) + (1 - that) p rounds to -5.6e-17, whose log is NaN
+    fit = mle_zig(summarize({1: 4, 2: 4, 3: 9, 4: 5, 5: 5, 6: 2, 8: 1}))
+    p, pi = fit.model.base.p, fit.model.pi
+    floor = -p / (1.0 - p)
+    assert floor + (1.0 - floor) * p < 0.0
+    assert pi == math.nextafter(floor, 0.0)
+    assert pi + (1.0 - pi) * p == 0.0
+    assert log_pmf(fit.model, 0) == -math.inf
+
 @given(
     st.dictionaries(st.integers(1, 10**6), st.integers(1, 10**6), min_size=1, max_size=8)
     .filter(lambda freq: max(freq) >= 2)
@@ -285,9 +296,14 @@ def test_mle_zig_without_zeros_is_a_flagged_boundary(freq):
     assert fit.solver.boundary
     p = fit.model.base.p
     # the positive counts alone fix p = n / sum(y); pi sits on its floor
+    # -p/(1-p), raised by the fewest ulps at which P(0) does not round below 0
     n, total = sum(freq.values()), sum(y * f for y, f in freq.items())
     assert p == pytest.approx(n / total, rel=1e-12)
-    assert fit.model.pi == -p / (1.0 - p)
+    pi = fit.model.pi
+    floor = -p / (1.0 - p)
+    assert pi >= floor and pi + (1.0 - pi) * p >= 0.0
+    below = math.nextafter(pi, -math.inf)
+    assert pi == floor or below + (1.0 - below) * p < 0.0
 
 
 def test_mle_hg_direct_formula():
