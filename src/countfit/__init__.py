@@ -18,8 +18,6 @@ from .dist import (
     ZeroInflated,
     log_pmf,
     log_pmf_array,
-    make_hurdle,
-    make_zero_inflated,
     moments,
     pgf,
     pmf,
@@ -32,7 +30,6 @@ from .errors import (
     EstimationError,
     InputFormatError,
     InvalidModelError,
-    NoSignChangeError,
     ParameterBoundError,
     UnderDispersedError,
 )
@@ -63,4 +60,4 @@ from .gof import (
     pool_tail,
 )
 from .sim import RecoveryReport, grid_oracle, recovery_experiment, sample
-from .specfn import chi2_survival, digamma, ln_gamma, trigamma
+from .specfn import chi2_survival

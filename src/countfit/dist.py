@@ -30,8 +30,6 @@ __all__ = [
     "log_pmf_array",
     "pgf",
     "moments",
-    "make_zero_inflated",
-    "make_hurdle",
 ]
 
 _NEG_INF = float("-inf")
@@ -127,16 +125,6 @@ def _zero_inflation_floor(base: BaseModel) -> float:
     if p0 >= 1.0:
         return 0.0
     return -p0 / (1.0 - p0)
-
-
-def make_zero_inflated(base: BaseModel, pi: float) -> ZeroInflated:
-    """Validated zero-inflated(deflated) model over a non-compound base."""
-    return ZeroInflated(pi=pi, base=base)
-
-
-def make_hurdle(base: BaseModel, pi: float) -> Hurdle:
-    """Validated hurdle model over a non-compound base with base P(0) < 1."""
-    return Hurdle(pi=pi, base=base)
 
 
 # The most cells any dense table over counts may have, however many values

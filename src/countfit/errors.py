@@ -33,10 +33,6 @@ class UnderDispersedError(EstimationError):
     """Sample variance does not exceed the mean; no finite NB shape root."""
 
 
-class NoSignChangeError(EstimationError):
-    """Bracket expansion hit its cap without a sign change in the score."""
-
-
 class DegenerateBinningError(CountFitError):
     """Tail pooling collapsed the histogram below the minimum bin count."""
 

@@ -1,14 +1,13 @@
 """Special functions backing the likelihood and chi-squared machinery.
 
-Pure Python and numpy, no scipy: log-gamma is ``math.lgamma``; digamma and
-trigamma shift their argument up to at least 10 by recurrence and then sum
+Pure Python and numpy, no scipy: digamma and trigamma (private, for the NB
+score) shift their argument up to at least 10 by recurrence and then sum
 the asymptotic series, elementwise over arrays; the chi-squared survival
 function is the regularized upper incomplete gamma Q(a, x), by its power
 series below x = a + 1 and by a Lentz continued fraction above (Numerical
 Recipes, sec. 6.2), with the prefactor x^a e^-x / Gamma(a) formed as in
 DiDonato & Morris (1986, ACM TOMS 12:377) so that nothing cancels at large
-a. The scalar wrappers check their domain. All functions are pure and safe
-for concurrent use.
+a. All functions are pure and safe for concurrent use.
 """
 
 import math
@@ -17,36 +16,13 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["ln_gamma", "digamma", "trigamma", "chi2_survival"]
+__all__ = ["chi2_survival"]
 
 # the asymptotic series below are accurate to about 1e-16 relative from here up
 _SHIFT_TO = 10.0
 # a stopping test of a few ulps: 1e-16 is below the spacing of floats near 1
 # and is never met
 _TOL = 4.0 * np.finfo(np.float64).eps
-
-
-def _check_positive(x: float, name: str) -> None:
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"{name} requires a finite argument > 0, got {x!r}")
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    _check_positive(x, "ln_gamma")
-    return math.lgamma(x)
-
-
-def digamma(x: float) -> float:
-    """Logarithmic derivative of the gamma function for x > 0."""
-    _check_positive(x, "digamma")
-    return float(_digamma(x))
-
-
-def trigamma(x: float) -> float:
-    """Derivative of the digamma function for x > 0; always positive there."""
-    _check_positive(x, "trigamma")
-    return float(_trigamma(x))
 
 
 def _shifted(x, term):

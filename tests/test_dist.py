@@ -13,8 +13,6 @@ from countfit.dist import (
     ZeroInflated,
     log_pmf,
     log_pmf_array,
-    make_hurdle,
-    make_zero_inflated,
     moments,
     pgf,
     pmf,
@@ -212,32 +210,32 @@ def test_moments_undefined_dispersion():
 
 
 def test_make_zero_inflated_pi_zero_equals_base():
-    model = make_zero_inflated(Geometric(p=0.5), 0.0)
+    model = ZeroInflated(pi=0.0, base=Geometric(p=0.5))
     for y in range(20):
         assert pmf(model, y) == pytest.approx(pmf(Geometric(p=0.5), y), abs=1e-15)
 
 
 def test_make_zero_inflated_deflated_reference_row():
     # Crofton sample A: valid zero-deflated parameters
-    model = make_zero_inflated(Geometric(p=0.3109), -0.0256)
+    model = ZeroInflated(pi=-0.0256, base=Geometric(p=0.3109))
     assert model.pi == -0.0256
 
 
 def test_make_zero_inflated_bound_error_reports_interval():
     with pytest.raises(ParameterBoundError) as exc:
-        make_zero_inflated(Geometric(p=0.5), -1.5)
+        ZeroInflated(pi=-1.5, base=Geometric(p=0.5))
     assert exc.value.admissible == (-1.0, 1.0)
 
 
 def test_make_hurdle_direct_substitution():
-    model = make_hurdle(Geometric(p=0.5), 0.5)
+    model = Hurdle(pi=0.5, base=Geometric(p=0.5))
     assert pmf(model, 0) == pytest.approx(0.5)
     assert pmf(model, 1) == pytest.approx(0.25)
 
 
 def test_make_hurdle_pi_p0_collapse():
     for p in (0.3, 0.5, 0.7):
-        model = make_hurdle(Geometric(p=p), p)
+        model = Hurdle(pi=p, base=Geometric(p=p))
         for y in range(30):
             assert pmf(model, y) == pytest.approx(pmf(Geometric(p=p), y), abs=1e-14)
 
@@ -246,17 +244,17 @@ def test_make_hurdle_equals_reparametrized_zig():
     # Crofton sample C parameters under the change of variables
     pi_zig, p = 0.4875, 0.4605
     pi_hg = pi_zig + (1.0 - pi_zig) * p
-    hg = make_hurdle(Geometric(p=p), pi_hg)
-    zig = make_zero_inflated(Geometric(p=p), pi_zig)
+    hg = Hurdle(pi=pi_hg, base=Geometric(p=p))
+    zig = ZeroInflated(pi=pi_zig, base=Geometric(p=p))
     for y in range(60):
         assert pmf(hg, y) == pytest.approx(pmf(zig, y), abs=1e-14)
 
 
 def test_make_hurdle_bounds():
     with pytest.raises(ParameterBoundError):
-        make_hurdle(Geometric(p=0.5), 1.5)
+        Hurdle(pi=1.5, base=Geometric(p=0.5))
     with pytest.raises(InvalidModelError):
-        make_hurdle(Geometric(p=1.0), 0.5)
+        Hurdle(pi=0.5, base=Geometric(p=1.0))
 
 
 def test_no_nested_compounds():
