@@ -3,7 +3,8 @@
 Exit codes are stable: 0 success, 2 usage error, 3 input parse error,
 4 estimator failure. All numeric output uses Python's shortest
 round-trip float representation, so identical inputs yield byte-identical
-reports.
+reports. The families, their spec keys, report parameters and fitters all
+come from `estimate.FAMILY_TABLE`.
 """
 
 from __future__ import annotations
@@ -16,19 +17,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .dist import (
-    CountModel,
-    Geometric,
-    Hurdle,
-    NegBinomial,
-    Poisson,
-    ZeroInflated,
-)
+from .dist import CountModel
 from .errors import CountFitError, EstimationError, InputFormatError
-from .estimate import FitResult, FrequencySample, summarize
-from .gof import FAMILIES, GofResult, compare_models, expected_counts, gof_test
-from .gof import _FITTERS as FITTERS
-from .gof import _cells
+from .estimate import FAMILY_TABLE, FitResult, FrequencySample, summarize
+from .gof import GofResult, _cells, compare_models, expected_counts, gof_test
 from .sim import recovery_experiment, sample
 
 EXIT_OK = 0
@@ -81,56 +73,32 @@ def read_frequency_file(path: str) -> tuple[FrequencySample, str]:
     return summarize(freq), digest
 
 
-_SPEC_KEYS = {
-    "poisson": ("m",),
-    "geom": ("p",),
-    "nb": ("p", "k"),
-    "zig": ("pi", "p"),
-    "hg": ("pi", "p"),
-}
-
-
 def parse_model_spec(spec: str) -> CountModel:
     """Parse a "family:key=val,..." model spec, e.g. "zig:pi=0.3,p=0.4".
 
     Each of the family's keys must appear exactly once and no other key may;
     nb takes either p,k or m,k.
     """
-    family, _, body = spec.partition(":")
+    name, _, body = spec.partition(":")
     try:
         pairs = [item.split("=") for item in body.split(",") if item]
         params = {k.strip(): float(v) for k, v in pairs}
     except ValueError as exc:
         raise InputFormatError(f"malformed model spec {spec!r}") from exc
-    if family not in _SPEC_KEYS:
+    if name not in FAMILY_TABLE:
         raise InputFormatError(
-            f"unknown family {family!r}; choose from {', '.join(FAMILIES)}"
+            f"unknown family {name!r}; choose from {', '.join(FAMILY_TABLE)}"
         )
-    keys = ("m", "k") if family == "nb" and "m" in params else _SPEC_KEYS[family]
+    family = FAMILY_TABLE[name]
+    by_mean = name == "nb" and "m" in params  # nb's second spelling: p = k/(m + k)
+    keys = ("m", "k") if by_mean else family.names
     if len(pairs) != len(keys) or params.keys() != set(keys):
         raise InputFormatError(
             f"model spec {spec!r} must give each of {', '.join(keys)} exactly once"
         )
-    first, last = params[keys[0]], params[keys[-1]]
-    if family == "poisson":
-        return Poisson(mean=first)
-    if family == "geom":
-        return Geometric(p=first)
-    if family == "nb":
-        return NegBinomial(p=last / (first + last) if keys[0] == "m" else first, k=last)
-    if family == "zig":
-        return ZeroInflated(pi=first, base=Geometric(p=last))
-    return Hurdle(pi=first, base=Geometric(p=last))
-
-
-def _model_params(model: CountModel) -> dict[str, float]:
-    if isinstance(model, Poisson):
-        return {"m": model.mean}
-    if isinstance(model, Geometric):
-        return {"p": model.p}
-    if isinstance(model, NegBinomial):
-        return {"p": model.p, "k": model.k}
-    return {"pi": model.pi, "p": model.base.p}
+    if by_mean:
+        params["p"] = params["k"] / (params.pop("m") + params["k"])
+    return family.build(*(params[k] for k in family.names))
 
 
 def _solver_dict(fit: FitResult) -> dict:
@@ -172,12 +140,16 @@ def _report_header(digest: str) -> dict:
     }
 
 
-def _write_out(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the ``--out`` path, or to stdout without one."""
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _write_json(doc: dict, out: str | None) -> None:
+    _emit(json.dumps(doc, indent=2) + "\n", out)
 
 
 def _model_block(
@@ -185,7 +157,7 @@ def _model_block(
 ) -> dict:
     return {
         "family": family,
-        "params": _model_params(fit.model),
+        "params": FAMILY_TABLE[family].params(fit.model),
         "loglik": fit.loglik,
         "aic": fit.aic,
         "n_params": fit.n_params,
@@ -199,17 +171,17 @@ def cmd_fit(args) -> int:
     doc = _report_header(digest)
     doc["sample"] = _sample_dict(s)
     try:
-        fit = FITTERS[args.model](s)
+        fit = FAMILY_TABLE[args.model].mle(s)
     except CountFitError as exc:
         doc["error"] = {"family": args.model, "message": str(exc)}
-        _write_out(doc, args.out)
+        _write_json(doc, args.out)
         return EXIT_ESTIMATOR
     try:
         gof = gof_test(fit.model, s, fit.n_params, args.pool_threshold)
     except CountFitError:
         gof = None
     doc["model"] = _model_block(args.model, fit, gof)
-    _write_out(doc, args.out)
+    _write_json(doc, args.out)
     if not args.quiet and args.out:
         params = ", ".join(f"{k}={v:.4f}" for k, v in doc["model"]["params"].items())
         print(f"{args.model}: {params}  aic={fit.aic:.4f}")
@@ -224,7 +196,7 @@ def cmd_compare(args) -> int:
         report = compare_models(s, args.models, args.pool_threshold)
     except EstimationError as exc:
         doc["error"] = {"message": str(exc)}
-        _write_out(doc, args.out)
+        _write_json(doc, args.out)
         return EXIT_ESTIMATOR
     doc["models"] = [
         _model_block(e.family, e.fit, e.gof)
@@ -234,38 +206,26 @@ def cmd_compare(args) -> int:
     ]
     doc["best_aic_model"] = report.best_aic_model
     doc["notes"] = list(report.notes)
-    _write_out(doc, args.out)
+    _write_json(doc, args.out)
     if not args.quiet and args.out:
         print(f"best by AIC: {report.best_aic_model}")
     return EXIT_OK
 
 
 def cmd_figure(args) -> int:
-    s, digest = read_frequency_file(args.data)
-    observed = _cells(s).freqs.tolist()
-    max_count = len(observed) - 2
-    fits = {}
-    for family in args.models:
-        fits[family] = FITTERS[family](s)
-    header = ["count", "observed"] + [f"expected_{f}" for f in args.models]
-    rows = []
-    expecteds = {
-        f: expected_counts(fit.model, s.n, max_count) for f, fit in fits.items()
-    }
-    for y in range(max_count + 1):
-        rows.append(
-            [str(y), str(observed[y])]
-            + [repr(expecteds[f][y]) for f in args.models]
-        )
-    rows.append(
-        ["tail+", "0"] + [repr(expecteds[f][max_count + 1]) for f in args.models]
-    )
-    lines = [",".join(header)] + [",".join(r) for r in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    s, _ = read_frequency_file(args.data)
+    observed = _cells(s).freqs.tolist()  # counts 0..largest, then a tail cell of 0
+    largest = len(observed) - 2
+    expected = [
+        expected_counts(FAMILY_TABLE[f].mle(s).model, s.n, largest) for f in args.models
+    ]
+    labels = [*map(str, range(largest + 1)), "tail+"]
+    lines = [",".join(["count", "observed"] + [f"expected_{f}" for f in args.models])]
+    lines += [
+        ",".join([label, str(o), *map(repr, cells)])
+        for label, o, *cells in zip(labels, observed, *expected)
+    ]
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -274,11 +234,7 @@ def cmd_simulate(args) -> int:
     s = summarize(sample(model, args.n, args.seed))
     rows = zip(s.counts.tolist(), s.freqs.tolist())
     lines = ["count,frequency"] + [f"{y},{f}" for y, f in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -296,17 +252,20 @@ def cmd_recover(args) -> int:
         "abs_error": report.abs_error,
         "solver_failures": report.solver_failures,
     }
-    _write_out(doc, args.out)
+    _write_json(doc, args.out)
     return EXIT_OK
 
 
-def _positive(kind):
-    """argparse type: a number of the given kind, finite and > 0."""
+def _number(kind, allow_zero: bool = False):
+    """argparse type: a number of the given kind, finite and > 0 (>= 0 with allow_zero)."""
 
     def parse(text: str):
         value = kind(text)  # argparse reports a ValueError as an invalid value
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        above_zero = value >= 0 if allow_zero else value > 0
+        if not (above_zero and value < math.inf):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>=' if allow_zero else '>'} 0, got {text}"
+            )
         return value
 
     parse.__name__ = kind.__name__  # names the kind in argparse's message
@@ -314,12 +273,14 @@ def _positive(kind):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    families = tuple(FAMILY_TABLE)
+    grammar = ", ".join(f"{f.name} ({','.join(f.names)})" for f in FAMILY_TABLE.values())
     parser = argparse.ArgumentParser(
         prog="countfit",
         description=(
             "Fit over-dispersed count distributions to frequency data. "
             "Model specs use the grammar family:key=val,... with families "
-            "poisson (m), geom (p), nb (m,k or p,k), zig (pi,p), hg (pi,p)."
+            f"{grammar}; nb also takes m,k."
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
@@ -331,36 +292,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit one family to a frequency CSV")
     p.add_argument("data", help="frequency CSV (count,frequency)")
-    p.add_argument("--model", required=True, choices=FAMILIES)
-    p.add_argument("--pool-threshold", type=_positive(float), default=1.0)
+    p.add_argument("--model", required=True, choices=families)
+    p.add_argument("--pool-threshold", type=_number(float), default=1.0)
     add_common(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("compare", help="fit several families and rank by AIC")
     p.add_argument("data")
-    p.add_argument("--models", required=True, nargs="+", choices=FAMILIES)
-    p.add_argument("--pool-threshold", type=_positive(float), default=1.0)
+    p.add_argument("--models", required=True, nargs="+", choices=families)
+    p.add_argument("--pool-threshold", type=_number(float), default=1.0)
     add_common(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("figure", help="emit observed-vs-expected CSV")
     p.add_argument("data")
-    p.add_argument("--models", required=True, nargs="+", choices=FAMILIES)
+    p.add_argument("--models", required=True, nargs="+", choices=families)
     add_common(p)
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("simulate", help="sample a model into a frequency CSV")
     p.add_argument("--model", required=True, help='spec, e.g. "zig:pi=0.3,p=0.4"')
-    p.add_argument("--n", type=_positive(int), required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_number(int), required=True)
+    p.add_argument("--seed", type=_number(int, allow_zero=True), default=0)
     add_common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("recover", help="parameter-recovery experiment")
     p.add_argument("--model", required=True)
-    p.add_argument("--n", type=_positive(int), required=True)
-    p.add_argument("--reps", type=_positive(int), default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_number(int), required=True)
+    p.add_argument("--reps", type=_number(int), default=20)
+    p.add_argument("--seed", type=_number(int, allow_zero=True), default=0)
     add_common(p)
     p.set_defaults(func=cmd_recover)
     return parser

@@ -6,13 +6,17 @@ finite-sum profile score (Bliss & Fisher 1953), solved by safeguarded
 Newton iteration in log k inside an expanding bracket, with bisection
 fallback; a score still positive at the bracket cap is reported as the
 Poisson limit.
+
+`FAMILY_TABLE` defines each fitted family in one place: its parameter
+names, how to build and read its models, and its scalar and row fitters.
+The CLI, `gof` and `sim` read it; adding a family is adding a record.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -31,6 +35,7 @@ from .dist import (
 )
 from .errors import (
     AllZerosError,
+    CountFitError,
     EstimationError,
     InvalidModelError,
     UnderDispersedError,
@@ -41,6 +46,10 @@ __all__ = [
     "FrequencySample",
     "SolverInfo",
     "FitResult",
+    "Family",
+    "FAMILY_TABLE",
+    "family_of",
+    "aic",
     "summarize",
     "loglik",
     "score_residuals",
@@ -216,12 +225,18 @@ class FitResult:
     solver: SolverInfo
 
 
+def aic(loglik: float, n_params: int) -> float:
+    """Akaike's information criterion: 2*n_params - 2*loglik."""
+    if n_params < 1:
+        raise CountFitError(f"n_params must be >= 1, got {n_params!r}")
+    return 2.0 * n_params - 2.0 * loglik
+
+
 def _fit_result(
     model: CountModel, ll: float, n_params: int, solver: SolverInfo
 ) -> FitResult:
     return FitResult(
-        model=model, loglik=ll, aic=2.0 * n_params - 2.0 * ll,
-        n_params=n_params, solver=solver,
+        model=model, loglik=ll, aic=aic(ll, n_params), n_params=n_params, solver=solver
     )
 
 
@@ -619,3 +634,106 @@ def zig_hg_reparam(pi_zig: float, p: float) -> float:
 def hg_zig_reparam(pi_hg: float, p: float) -> float:
     """Inverse map: hurdle zero mass back to the ZIG mixing weight."""
     return (pi_hg - p) / (1.0 - p)
+
+
+# Row fitters: (table, n, n0, mean, var) of a (rows, L) frequency table ->
+# (one array per parameter, mask of the rows the scalar fitter would not
+# reject). Each mask mirrors the conditions under which its scalar fitter
+# raises.
+
+
+def _rows_poisson(table, n, n0, m, var):
+    return (m,), np.ones(m.shape, dtype=bool)
+
+
+def _rows_geometric(table, n, n0, m, var):
+    return (_geometric_p(m),), np.ones(m.shape, dtype=bool)
+
+
+def _rows_zig(table, n, n0, m, var):
+    pi, p, interior = _zig_params(n, n0, m)
+    return (pi, p), (m > 0.0) & interior
+
+
+def _rows_hg(table, n, n0, m, var):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pi, p = _hg_params(n, n0, m)
+    return (pi, p), (m > 0.0) & (p < 1.0)
+
+
+def _rows_nb_mle(table, n, n0, m, var):
+    ok = (m > 0.0) & (var > m)
+    k = np.full(m.shape, np.nan)
+    k[ok] = _nb_shape_rows(table[ok], n, m[ok], var[ok])
+    return (k / (m + k), k), ok
+
+
+def _rows_nb_moments(table, n, n0, m, var):
+    ok = (m > 0.0) & (var > m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = _moments_shape(m, var)
+        return (k / (m + k), k), ok
+
+
+@dataclass(frozen=True)
+class Family:
+    """One fitted model family: its parameters, its models and its fitters.
+
+    ``names`` are the parameters in report order. ``build(*values)`` makes a
+    model from them and ``values(model)`` reads them back. ``fits`` maps each
+    fit method to (scalar fitter, row fitter); "mle" comes first. ``kind``
+    is the model class; a compound family's base is geometric. Where
+    ``reparam_of`` names another family, the two give the same pmf under a
+    change of parameters.
+    """
+
+    name: str
+    names: tuple[str, ...]
+    kind: type
+    build: Callable[..., CountModel]
+    values: Callable[[CountModel], tuple[float, ...]]
+    fits: Mapping[str, tuple[Callable, Callable]]
+    reparam_of: str | None = None
+
+    @property
+    def n_params(self) -> int:
+        return len(self.names)
+
+    @property
+    def mle(self) -> Callable[[FrequencySample], FitResult]:
+        return self.fits["mle"][0]
+
+    def params(self, model: CountModel) -> dict[str, float]:
+        """The model's parameters by name, in report order."""
+        return dict(zip(self.names, self.values(model)))
+
+
+def _compound_values(model) -> tuple[float, float]:
+    return model.pi, model.base.p
+
+
+# every fitted family, in the order reports and messages list them
+FAMILY_TABLE: dict[str, Family] = {f.name: f for f in (
+    Family("nb", ("p", "k"), NegBinomial, NegBinomial, lambda model: (model.p, model.k),
+           {"mle": (mle_nb, _rows_nb_mle), "moments": (mom_nb, _rows_nb_moments)}),
+    Family("zig", ("pi", "p"), ZeroInflated,
+           lambda pi, p: ZeroInflated(pi=pi, base=Geometric(p=p)), _compound_values,
+           {"mle": (mle_zig, _rows_zig)}),
+    Family("hg", ("pi", "p"), Hurdle,
+           lambda pi, p: Hurdle(pi=pi, base=Geometric(p=p)), _compound_values,
+           {"mle": (mle_hg, _rows_hg)}, reparam_of="zig"),
+    Family("geom", ("p",), Geometric, Geometric, lambda model: (model.p,),
+           {"mle": (mle_geometric, _rows_geometric)}),
+    Family("poisson", ("m",), Poisson, Poisson, lambda model: (model.mean,),
+           {"mle": (mle_poisson, _rows_poisson)}),
+)}
+
+
+def family_of(model: CountModel) -> Family:
+    """The fitted family of a model; compounds over a geometric base only."""
+    if isinstance(model, (ZeroInflated, Hurdle)) and not isinstance(model.base, Geometric):
+        raise CountFitError("recovery supports geometric-based compounds only")
+    for family in FAMILY_TABLE.values():
+        if type(model) is family.kind:
+            return family
+    raise InvalidModelError(f"unknown model type {type(model).__name__}")

@@ -24,7 +24,9 @@ only when some count's cell expects exactly 0 (a zero tail cell just
 drops into the cell below); pooling is a Python loop over the pooled
 cells only; labels, `Bin` records and chi2 are O(B) Python.
 `compare_models` builds the observed cells and the cell names once per
-sample and shares them across its families.
+sample and shares them across its families, which it fits by their "mle"
+fitters in `estimate.FAMILY_TABLE`; `FAMILIES` and `N_PARAMS` are views of
+that table.
 """
 
 from __future__ import annotations
@@ -41,15 +43,7 @@ from .errors import (
     EstimationError,
     InvalidModelError,
 )
-from .estimate import (
-    FitResult,
-    FrequencySample,
-    mle_geometric,
-    mle_hg,
-    mle_nb,
-    mle_poisson,
-    mle_zig,
-)
+from .estimate import FAMILY_TABLE, FitResult, FrequencySample, aic
 from .specfn import chi2_survival
 
 __all__ = [
@@ -67,17 +61,9 @@ __all__ = [
     "N_PARAMS",
 ]
 
-FAMILIES = ("nb", "zig", "hg", "geom", "poisson")
+FAMILIES = tuple(FAMILY_TABLE)
 
-N_PARAMS = {"nb": 2, "zig": 2, "hg": 2, "geom": 1, "poisson": 1}
-
-_FITTERS = {
-    "nb": mle_nb,
-    "zig": mle_zig,
-    "hg": mle_hg,
-    "geom": mle_geometric,
-    "poisson": mle_poisson,
-}
+N_PARAMS = {name: family.n_params for name, family in FAMILY_TABLE.items()}
 
 MIN_BINS = 3
 
@@ -317,13 +303,6 @@ def gof_test(
     return _gof(model, _cells(s), n_params, threshold)
 
 
-def aic(loglik: float, n_params: int) -> float:
-    """Akaike's information criterion: 2*n_params - 2*loglik."""
-    if n_params < 1:
-        raise CountFitError(f"n_params must be >= 1, got {n_params!r}")
-    return 2.0 * n_params - 2.0 * loglik
-
-
 def compare_models(
     s: FrequencySample,
     families: list[str],
@@ -337,7 +316,7 @@ def compare_models(
     """
     if not families:
         raise CountFitError("at least one model family is required")
-    unknown = [f for f in families if f not in _FITTERS]
+    unknown = [f for f in families if f not in FAMILY_TABLE]
     if unknown:
         raise CountFitError(f"unknown families: {unknown}; choose from {FAMILIES}")
     try:
@@ -347,7 +326,7 @@ def compare_models(
     entries: list[ModelEntry] = []
     for family in families:
         try:
-            fit = _FITTERS[family](s)
+            fit = FAMILY_TABLE[family].mle(s)
             gof: GofResult | None = None
             if cells is not None:
                 try:
@@ -360,16 +339,17 @@ def compare_models(
     fitted = [e for e in entries if e.fit is not None]
     if not fitted:
         raise EstimationError("every requested family failed to fit")
-    # zig and hg tie up to roundoff: the first requested family within
-    # AIC_TIE of the minimum wins, whatever the summation order
+    # reparametrized families tie up to roundoff: the first requested
+    # family within AIC_TIE of the minimum wins, whatever the summation order
     low = min(e.fit.aic for e in fitted)
     best = next(e for e in fitted if e.fit.aic <= low + AIC_TIE * abs(low))
-    notes: tuple[str, ...] = ()
-    if {"zig", "hg"} <= {e.family for e in fitted}:
-        notes = (
-            "zig and hg are reparametrizations of each other; their "
-            "log-likelihoods and AICs coincide",
-        )
+    names = {e.family for e in fitted}
+    notes = tuple(
+        f"{f.reparam_of} and {f.name} are reparametrizations of each other; "
+        "their log-likelihoods and AICs coincide"
+        for f in FAMILY_TABLE.values()
+        if f.name in names and f.reparam_of in names
+    )
     return ComparisonReport(
         entries=tuple(entries), best_aic_model=best.family, notes=notes
     )

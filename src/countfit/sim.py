@@ -14,10 +14,11 @@ Replicate i of a recovery experiment is
 ``SeedSequence(seed)``: replicates are independent, and any one can be
 drawn again alone. The experiment tallies the replicates into one
 (replicates, L) frequency table as they are drawn, L being 1 + the largest
-count, and fits all rows at once with array code that matches the scalar
-estimators (closed forms bit for bit, the NB shape to roundoff). Past the
-size rule of `summarize` it fits replicate by replicate instead, so memory
-stays O(n + replicates*L).
+count, and fits all rows at once with the row fitters of the true model's
+family in `estimate.FAMILY_TABLE`, which match its scalar fitters (closed
+forms bit for bit, the NB shape to roundoff). Past the size rule of
+`summarize` it fits replicate by replicate with the scalar fitters instead,
+so memory stays O(n + replicates*L).
 """
 
 from __future__ import annotations
@@ -42,19 +43,10 @@ from .dist import (
 )
 from .errors import CountFitError, InvalidModelError
 from .estimate import (
+    Family,
     FrequencySample,
-    _geometric_p,
-    _hg_params,
-    _moments_shape,
-    _nb_shape_rows,
     _summarize_rows,
-    _zig_params,
-    mle_geometric,
-    mle_hg,
-    mle_nb,
-    mle_poisson,
-    mle_zig,
-    mom_nb,
+    family_of,
     summarize,
 )
 
@@ -92,8 +84,12 @@ def _check_table_length(base: CountModel) -> None:
 
     Past L counts the geometric tail is (1-p)^L, so the table needs at
     least ln(1e-12)/ln(1-p) counts. A Poisson or NB table must reach past
-    the mean. The doubling would otherwise build ever larger tables up to
-    the cap before it gave up.
+    the mean, past which the pmf falls: so the counts from the cap to any j
+    above it hold at least (j - cap)*pmf(j). Where that passes 1e-8 for
+    some j, no table within the cap covers all but 1e-12, even allowing for
+    the 1e-9 by which a cumsum over that many cells can round. The doubling
+    would otherwise build ever larger tables up to the cap before it gave
+    up.
     """
     if isinstance(base, Geometric):
         if math.log(_TAIL_MASS) / math.log1p(-base.p) > _TABLE_CAP:
@@ -102,11 +98,13 @@ def _check_table_length(base: CountModel) -> None:
                 f"its table would need more than {_TABLE_CAP} counts"
             )
         return
-    mean = moments(base).mean
-    if mean > _TABLE_CAP:
+    steps = 2.0 ** np.arange(25)
+    if moments(base).mean > _TABLE_CAP or np.any(
+        steps * np.exp(log_pmf_array(base, _TABLE_CAP + steps)) > 1e-8
+    ):
         raise CountFitError(
-            f"cannot sample a {type(base).__name__} base of mean {mean!r} by "
-            f"inverse CDF: its table would need more than {_TABLE_CAP} counts"
+            f"cannot sample the base {base!r} by inverse CDF: its table would "
+            f"need more than {_TABLE_CAP} counts"
         )
 
 
@@ -277,74 +275,6 @@ class RecoveryReport:
     solver_failures: int
 
 
-def _params(model: CountModel) -> dict[str, float]:
-    """A true or fitted model's parameters, by the names the report uses."""
-    if isinstance(model, Poisson):
-        return {"m": model.mean}
-    if isinstance(model, Geometric):
-        return {"p": model.p}
-    if isinstance(model, NegBinomial):
-        return {"p": model.p, "k": model.k}
-    if isinstance(model, (ZeroInflated, Hurdle)):
-        if not isinstance(model.base, Geometric):
-            raise CountFitError("recovery supports geometric-based compounds only")
-        return {"pi": model.pi, "p": model.base.p}
-    raise InvalidModelError(f"unknown model type {type(model).__name__}")
-
-
-# A fit over the rows of a frequency table: (table, n, n0, mean, var) ->
-# (parameter arrays, mask of the rows the scalar fitter would not reject).
-# Each mask mirrors the conditions under which its scalar fitter raises.
-
-
-def _rows_poisson(table, n, n0, m, var):
-    return {"m": m}, np.ones(m.shape, dtype=bool)
-
-
-def _rows_geometric(table, n, n0, m, var):
-    return {"p": _geometric_p(m)}, np.ones(m.shape, dtype=bool)
-
-
-def _rows_zig(table, n, n0, m, var):
-    pi, p, interior = _zig_params(n, n0, m)
-    return {"pi": pi, "p": p}, (m > 0.0) & interior
-
-
-def _rows_hg(table, n, n0, m, var):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pi, p = _hg_params(n, n0, m)
-    return {"pi": pi, "p": p}, (m > 0.0) & (p < 1.0)
-
-
-def _rows_nb_moments(table, n, n0, m, var):
-    ok = (m > 0.0) & (var > m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = _moments_shape(m, var)
-        return {"p": k / (m + k), "k": k}, ok
-
-
-def _rows_nb_mle(table, n, n0, m, var):
-    ok = (m > 0.0) & (var > m)
-    k = np.full(m.shape, np.nan)
-    k[ok] = _nb_shape_rows(table[ok], n, m[ok], var[ok])
-    return {"p": k / (m + k), "k": k}, ok
-
-
-def _estimators_for(model: CountModel):
-    """method -> (scalar fitter, the same fit over the rows of a table)."""
-    if isinstance(model, Poisson):
-        return {"mle": (mle_poisson, _rows_poisson)}
-    if isinstance(model, Geometric):
-        return {"mle": (mle_geometric, _rows_geometric)}
-    if isinstance(model, NegBinomial):
-        return {"mle": (mle_nb, _rows_nb_mle), "moments": (mom_nb, _rows_nb_moments)}
-    if isinstance(model, ZeroInflated):
-        return {"mle": (mle_zig, _rows_zig)}
-    if isinstance(model, Hurdle):
-        return {"mle": (mle_hg, _rows_hg)}
-    raise InvalidModelError(f"unknown model type {type(model).__name__}")
-
-
 def _tally_replicates(draws, b: int, n: int) -> np.ndarray | None:
     """The (b, L) frequency table of b replicates of n values, L = 1 + largest count.
 
@@ -364,33 +294,35 @@ def _tally_replicates(draws, b: int, n: int) -> np.ndarray | None:
     return table
 
 
-def _fit_replicates(draws, b: int, n: int, estimators) -> dict:
-    """method -> (parameter arrays, success mask) over b replicates of n values.
+def _fit_replicates(draws, b: int, n: int, family: Family) -> dict:
+    """method -> (parameter arrays by name, success mask) over b replicates of n values.
 
     ``draws()`` yields the replicates afresh on each call. They are fitted
-    as the rows of one table, or one by one by the scalar estimators where
-    that table would be too large.
+    as the rows of one table by the family's row fitters, or one by one by
+    its scalar fitters where that table would be too large.
     """
     table = _tally_replicates(draws(), b, n)
     if table is not None:
         stats = _summarize_rows(table)
-        return {meth: rows(table, *stats) for meth, (_, rows) in estimators.items()}
-    params: dict[str, list] = {meth: [] for meth in estimators}
-    for values in draws():
-        s = summarize(values)
-        for meth, (fit_fn, _) in estimators.items():
-            try:
-                params[meth].append(_params(fit_fn(s).model))
-            except CountFitError:
-                params[meth].append(None)
-    out = {}
-    for meth, fits in params.items():
-        names = next((f.keys() for f in fits if f is not None), ())
-        out[meth] = (
-            {k: np.array([np.nan if f is None else f[k] for f in fits]) for k in names},
-            np.array([f is not None for f in fits]),
-        )
-    return out
+        fits = {meth: rows(table, *stats) for meth, (_, rows) in family.fits.items()}
+    else:
+        failed = (np.nan,) * family.n_params
+        found: dict[str, list] = {meth: [] for meth in family.fits}
+        for values in draws():
+            s = summarize(values)
+            for meth, (fit_fn, _) in family.fits.items():
+                try:
+                    found[meth].append(family.values(fit_fn(s).model))
+                except CountFitError:
+                    found[meth].append(None)
+        fits = {
+            meth: (
+                np.array([failed if f is None else f for f in per]).T,
+                np.array([f is not None for f in per]),
+            )
+            for meth, per in found.items()
+        }
+    return {meth: (dict(zip(family.names, cols)), ok) for meth, (cols, ok) in fits.items()}
 
 
 def _mean_in_order(values: np.ndarray) -> float:
@@ -421,8 +353,8 @@ def recovery_experiment(
     """
     if replicates < 1:
         raise CountFitError(f"replicates must be >= 1, got {replicates!r}")
-    truth = _params(true_model)
-    estimators = _estimators_for(true_model)
+    family = family_of(true_model)
+    truth = family.params(true_model)
     _check_size(n)
     draw = _sampler(true_model, n)
     children = np.random.SeedSequence(seed).spawn(replicates)
@@ -430,7 +362,7 @@ def recovery_experiment(
         lambda: (draw(np.random.default_rng(c)) for c in children),
         replicates,
         n,
-        estimators,
+        family,
     )
     estimates, abs_error, failures = {}, {}, 0
     for meth, (params, ok) in fits.items():

@@ -126,6 +126,15 @@ def test_out_of_range_options_are_usage_errors(argv, zig_fixture, capsys):
     assert "must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "recover"])
+def test_negative_seed_is_a_usage_error(command, capsys):
+    # numpy's SeedSequence refused it with a ValueError traceback (exit 1)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--model", "geom:p=0.5", "--n", "10", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "spec", ["zig:pi=0.3,p=0.4,bogus=1", "zig:pi=0.3,p=0.4,pi=0.5", "nb:m=2,p=0.5,k=1"]
 )

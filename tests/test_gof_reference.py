@@ -22,9 +22,9 @@ from countfit.errors import (
     DomainError,
     EstimationError,
 )
-from countfit.estimate import summarize
+from countfit.estimate import FAMILY_TABLE, summarize
 from countfit import gof
-from countfit.gof import _FITTERS, Bin, expected_counts, gof_test, pool_tail
+from countfit.gof import Bin, expected_counts, gof_test, pool_tail
 from countfit.specfn import chi2_survival
 
 MIN_BINS = 3
@@ -133,9 +133,9 @@ def _assert_same_gof(model, s, n_params, threshold):
 def _models(s, extra):
     """The five fitted families plus the given fixed models, with n_params."""
     out = []
-    for fitter in _FITTERS.values():
+    for family in FAMILY_TABLE.values():
         try:
-            fit = fitter(s)
+            fit = family.mle(s)
         except CountFitError:
             continue
         out.append((fit.model, fit.n_params))

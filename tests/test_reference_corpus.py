@@ -17,9 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from countfit.dist import Geometric, NegBinomial, Poisson
 from countfit.errors import CountFitError
-from countfit.estimate import mom_nb, summarize
+from countfit.estimate import FAMILY_TABLE, mom_nb, summarize
 from countfit.gof import compare_models
 
 CORPUS = json.loads(
@@ -27,16 +26,6 @@ CORPUS = json.loads(
 )
 REL = 1e-12
 NB_REL = 1e-8
-
-
-def _params(model) -> dict:
-    if isinstance(model, Poisson):
-        return {"m": model.mean}
-    if isinstance(model, Geometric):
-        return {"p": model.p}
-    if isinstance(model, NegBinomial):
-        return {"p": model.p, "k": model.k}
-    return {"pi": model.pi, "p": model.base.p}
 
 
 @pytest.mark.parametrize("ref", CORPUS["samples"], ids=lambda r: r["name"])
@@ -55,7 +44,7 @@ def test_matches_reference_corpus(ref):
             assert entry.error == want["error"]
             continue
         rel = NB_REL if entry.family == "nb" else REL
-        got_params = _params(entry.fit.model)
+        got_params = FAMILY_TABLE[entry.family].params(entry.fit.model)
         assert got_params.keys() == want["params"].keys()
         for key, value in want["params"].items():
             assert got_params[key] == pytest.approx(value, rel=rel, abs=0.0)
@@ -82,5 +71,5 @@ def test_matches_reference_corpus(ref):
     else:
         fit = mom_nb(s)
         for key, value in want["params"].items():
-            assert _params(fit.model)[key] == pytest.approx(value, rel=REL)
+            assert FAMILY_TABLE["nb"].params(fit.model)[key] == pytest.approx(value, rel=REL)
         assert fit.loglik == pytest.approx(want["loglik"], rel=REL)

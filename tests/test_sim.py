@@ -11,7 +11,9 @@ from countfit import sim
 from countfit.dist import Geometric, Hurdle, NegBinomial, Poisson, ZeroInflated, moments, pmf
 from countfit.errors import CountFitError
 from countfit.estimate import (
+    FAMILY_TABLE,
     _summarize_rows,
+    family_of,
     mle_geometric,
     mle_hg,
     mle_nb,
@@ -101,6 +103,22 @@ def test_hurdle_table_past_the_cap_is_refused_up_front(base):
     start = time.perf_counter()
     with pytest.raises(CountFitError, match="inverse CDF"):
         sample(Hurdle(pi=0.3, base=base), 5, 0)
+    assert time.perf_counter() - start < 0.5
+
+
+_HEAVY_TAILED_NB = NegBinomial(p=1e-8, k=1e-3)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Hurdle(pi=0.3, base=_HEAVY_TAILED_NB), ZeroInflated(pi=-1.0, base=_HEAVY_TAILED_NB)],
+)
+def test_nb_table_with_a_heavy_tail_is_refused_up_front(model):
+    # mean 1e5 is within the cap, but about 2e-3 of the mass lies past 10
+    # million counts: tables up to the cap took 1.8 s and 483 MB to give up
+    start = time.perf_counter()
+    with pytest.raises(CountFitError, match="inverse CDF"):
+        sample(model, 5, 0)
     assert time.perf_counter() - start < 0.5
 
 
@@ -212,7 +230,7 @@ def _scalar_recovery(model, n, reps, seed):
         s = summarize(sample(model, n, child))
         for meth, fit_fn in fitters.items():
             try:
-                fits[meth].append(sim._params(fit_fn(s).model))
+                fits[meth].append(family_of(model).params(fit_fn(s).model))
             except CountFitError:
                 fits[meth].append(None)
     return fits
@@ -283,19 +301,6 @@ def _row(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     return values
 
 
-_ALL_ESTIMATORS = {
-    f"{family} {meth}": pair
-    for family, model in [
-        ("poisson", Poisson(mean=1.0)),
-        ("geom", Geometric(p=0.5)),
-        ("nb", NegBinomial(p=0.5, k=1.0)),
-        ("zig", ZeroInflated(pi=0.1, base=Geometric(p=0.5))),
-        ("hg", Hurdle(pi=0.1, base=Geometric(p=0.5))),
-    ]
-    for meth, pair in sim._estimators_for(model).items()
-}
-
-
 @given(
     kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=5),
     n=st.integers(1, 300),
@@ -317,24 +322,26 @@ def test_row_fits_match_scalar_fits(kinds, n, seed):
         for i, s in enumerate(samples):
             assert (n_rows, n0[i], mean[i]) == (s.n, s.n0, s.mean)
             assert var[i] == pytest.approx(s.var, rel=1e-12, abs=0.0)
-    fits = sim._fit_replicates(lambda: iter(rows), b, n, _ALL_ESTIMATORS)
-    for name, (fit_fn, _) in _ALL_ESTIMATORS.items():
-        params, ok = fits[name]
-        for i, s in enumerate(samples):
-            try:
-                want = sim._params(fit_fn(s).model)
-            except CountFitError:
-                want = None
-            assert bool(ok[i]) == (want is not None), (name, kinds[i])
-            if want is None:
-                continue
-            for k, v in want.items():
-                got = float(params[k][i])
-                if name == "nb mle":
-                    assert got == pytest.approx(v, rel=1e-9), (name, k, kinds[i])
-                elif name == "nb moments":
-                    assert got == pytest.approx(v, rel=1e-12), (name, k, kinds[i])
-                else:
-                    assert got == v, (name, k, kinds[i])
-            if name == "nb mle" and want["k"] in (1e8, 1e-8):
-                assert float(params["k"][i]) == want["k"]
+    for family in FAMILY_TABLE.values():
+        fits = sim._fit_replicates(lambda: iter(rows), b, n, family)
+        for meth, (fit_fn, _) in family.fits.items():
+            name = f"{family.name} {meth}"
+            params, ok = fits[meth]
+            for i, s in enumerate(samples):
+                try:
+                    want = family.params(fit_fn(s).model)
+                except CountFitError:
+                    want = None
+                assert bool(ok[i]) == (want is not None), (name, kinds[i])
+                if want is None:
+                    continue
+                for k, v in want.items():
+                    got = float(params[k][i])
+                    if name == "nb mle":
+                        assert got == pytest.approx(v, rel=1e-9), (name, k, kinds[i])
+                    elif name == "nb moments":
+                        assert got == pytest.approx(v, rel=1e-12), (name, k, kinds[i])
+                    else:
+                        assert got == v, (name, k, kinds[i])
+                if name == "nb mle" and want["k"] in (1e8, 1e-8):
+                    assert float(params["k"][i]) == want["k"]
