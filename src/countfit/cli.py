@@ -20,7 +20,7 @@ from . import __version__
 from .dist import CountModel
 from .errors import CountFitError, EstimationError, InputFormatError
 from .estimate import FAMILY_TABLE, FitResult, FrequencySample, summarize
-from .gof import GofResult, _cells, compare_models, expected_counts, gof_test
+from .gof import FAMILIES, GofResult, _cells, compare_models, expected_counts, gof_test
 from .sim import recovery_experiment, sample
 
 EXIT_OK = 0
@@ -87,7 +87,7 @@ def parse_model_spec(spec: str) -> CountModel:
         raise InputFormatError(f"malformed model spec {spec!r}") from exc
     if name not in FAMILY_TABLE:
         raise InputFormatError(
-            f"unknown family {name!r}; choose from {', '.join(FAMILY_TABLE)}"
+            f"unknown family {name!r}; choose from {', '.join(FAMILIES)}"
         )
     family = FAMILY_TABLE[name]
     by_mean = name == "nb" and "m" in params  # nb's second spelling: p = k/(m + k)
@@ -273,7 +273,6 @@ def _number(kind, allow_zero: bool = False):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    families = tuple(FAMILY_TABLE)
     grammar = ", ".join(f"{f.name} ({','.join(f.names)})" for f in FAMILY_TABLE.values())
     parser = argparse.ArgumentParser(
         prog="countfit",
@@ -292,21 +291,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit one family to a frequency CSV")
     p.add_argument("data", help="frequency CSV (count,frequency)")
-    p.add_argument("--model", required=True, choices=families)
+    p.add_argument("--model", required=True, choices=FAMILIES)
     p.add_argument("--pool-threshold", type=_number(float), default=1.0)
     add_common(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("compare", help="fit several families and rank by AIC")
     p.add_argument("data")
-    p.add_argument("--models", required=True, nargs="+", choices=families)
+    p.add_argument("--models", required=True, nargs="+", choices=FAMILIES)
     p.add_argument("--pool-threshold", type=_number(float), default=1.0)
     add_common(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("figure", help="emit observed-vs-expected CSV")
     p.add_argument("data")
-    p.add_argument("--models", required=True, nargs="+", choices=families)
+    p.add_argument("--models", required=True, nargs="+", choices=FAMILIES)
     add_common(p)
     p.set_defaults(func=cmd_figure)
 
