@@ -337,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
     except CountFitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ESTIMATOR
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
+        return EXIT_ESTIMATOR
 
 
 if __name__ == "__main__":

@@ -18,11 +18,13 @@ commas ("0,1" holds a folded zero cell), with "+" on the last bin, whose
 last listed count stands for itself and every count above it. A pooled
 last bin is its first count and "+" ("12+").
 
-Cost of one test over M + 2 cells that end as B bins: the log-pmf and the
-zero check are O(M) numpy work; the fold is O(M) numpy work too, and runs
-only when some count's cell expects exactly 0 (a zero tail cell just
-drops into the cell below); pooling is a Python loop over the pooled
-cells only; labels, `Bin` records and chi2 are O(B) Python.
+Cost of one test over M + 2 cells that end as B bins: the log-pmf, the
+zero check and pooling (a reversed running sum of the expected cells)
+are O(M) numpy work; the fold is O(M) numpy work too, and runs only when
+some count's cell expects exactly 0 (a zero tail cell just drops into
+the cell below). Only the B bins are turned into Python floats. A `Bin`
+is a named tuple made by `tuple.__new__` in C, one tuple per bin with no
+Python frame; labels and chi2 are O(B) Python loops.
 `compare_models` builds the observed cells and the cell names once per
 sample and shares them across its families, which it fits by their "mle"
 fitters in `estimate.FAMILY_TABLE`; `FAMILIES` and `N_PARAMS` are views of
@@ -33,6 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,11 +75,15 @@ MIN_BINS = 3
 AIC_TIE = 1e-12
 
 
-@dataclass(frozen=True)
-class Bin:
+class Bin(NamedTuple):
     label: str  # single count "3" or pooled range "3+"
     observed: float
     expected: float
+
+
+def _bins(labels, observed, expected) -> tuple[Bin, ...]:
+    """The bins as a tuple, each made by `tuple.__new__` with no Python frame."""
+    return tuple(map(tuple.__new__, repeat(Bin), zip(labels, observed, expected)))
 
 
 @dataclass(frozen=True)
@@ -117,25 +125,26 @@ def expected_counts(model: CountModel, n: int, max_count: int) -> list[float]:
     return cells.tolist() + [tail]
 
 
-def _pool(observed: list, expected: list, threshold: float) -> tuple[int, float, float]:
-    """The tail pooling rule: bins left, and the last bin's observed and expected.
+def _pool(expected: np.ndarray, threshold: float) -> tuple[int, float]:
+    """The tail pooling rule: bins left, and the last bin's expected count.
 
-    ``observed`` may run past ``expected``; the cells beyond are not read.
-    Only the pooled cells are visited, and each is added to the running
-    tail in the order of a one-cell-at-a-time merge, so the sums are the
-    same bits. The lists are not changed.
+    ``tail[i]`` is the top i + 1 cells summed from the top down, in the
+    order a one-cell-at-a-time merge adds them (cumsum is sequential and
+    addition commutes), so the pooled count is the same bits.
     """
     if threshold <= 0.0:
         raise CountFitError(f"pooling threshold must be > 0, got {threshold!r}")
     k = len(expected)
     if k < MIN_BINS:
         raise DegenerateBinningError(f"pooling left only {k} bins (< {MIN_BINS})")
-    obs, exp = observed[k - 1], expected[k - 1]
-    while k > MIN_BINS and exp < threshold and expected[k - 2] < threshold:
-        k -= 1
-        obs = observed[k - 1] + obs
-        exp = expected[k - 1] + exp
-    return k, obs, exp
+    top_down = expected[::-1]
+    tail = np.cumsum(top_down)
+    # merge i: the last bin, holding the top i + 1 cells, absorbs the cell below
+    low = top_down < threshold
+    merge = (tail[: k - MIN_BINS] < threshold) & low[1 : k - MIN_BINS + 1]
+    # the merges run up to the first refused one
+    merged = int(np.argmin(np.append(merge, False)))
+    return k - merged, float(tail[merged])
 
 
 def pool_tail(
@@ -154,20 +163,28 @@ def pool_tail(
     """
     if len(observed) != len(expected):
         raise CountFitError("observed and expected must have equal length")
-    obs, exp = list(observed), list(expected)
-    k, last_obs, last_exp = _pool(obs, exp, threshold)
+    k, last_exp = _pool(np.asarray(expected, dtype=np.float64), threshold)
+    obs, exp = list(observed[:k]), list(expected[:k])
     labels = list(labels)[:k] if labels is not None else [str(y) for y in range(k)]
-    if k < len(exp):
+    if k < len(expected):
         labels[-1] = f"{labels[-1].split(',')[0]}+"
-    del obs[k:], exp[k:]
+    # the pooled cells from the top down, as a one-cell-at-a-time merge adds them
+    last_obs = observed[-1]
+    for o in reversed(observed[k - 1 : -1]):
+        last_obs = o + last_obs
     obs[-1], exp[-1] = last_obs, last_exp
-    return list(map(Bin, labels, obs, exp))
+    return list(_bins(labels, obs, exp))
 
 
 def _chi2(observed: list[float], expected: list[float]) -> float:
     # left to right with Python's float pow, not numpy's x*x: the two
-    # differ in the last bit for some values
-    return sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    # differ in the last bit for some values. A plain loop, not sum(),
+    # which compensates float sums since Python 3.12 and so would give
+    # other bits there
+    total = 0.0
+    for o, e in zip(observed, expected):
+        total += (o - e) ** 2 / e
+    return total
 
 
 def chi2_statistic(bins: list[Bin]) -> float:
@@ -220,36 +237,38 @@ def _cells(s: FrequencySample) -> _Cells:
 
 def _fold_zero_cells(
     freqs: np.ndarray, expected: np.ndarray
-) -> tuple[list[float], list[float], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fold each zero-expected cell into the next live cell up.
 
     A zero run at the top folds into the last live cell instead. Returns
-    the folded observed and expected lists and the first cell of each bin.
+    the folded observed and expected arrays and the first cell of each bin.
     Observed sums are exact while n < 2**53; expected values are unchanged,
     since only zeros are added to them. Some cell is live: the tail cell
     holds n*(1 - sum) when every other cell expects 0.
     """
     live = np.flatnonzero(expected)
     starts = np.concatenate(([0], live[:-1] + 1))
-    observed = np.add.reduceat(freqs, starts, dtype=np.float64)
-    return observed.tolist(), expected[live].tolist(), starts
+    return np.add.reduceat(freqs, starts, dtype=np.float64), expected[live], starts
 
 
 def _gof(model: CountModel, cells: _Cells, n_params: int, threshold: float) -> GofResult:
     expected, tail = _expected(model, cells.n, cells.ys)
     if expected.all():
         # a zero tail cell (observed 0 too) folds into the largest count
-        # without changing it, so it is left out of exp
-        observed, exp, starts = cells.observed, expected.tolist(), None
+        # without changing it, so it is left out of the cells
+        observed, starts = cells.freqs, None
         if tail > 0.0:
-            exp.append(tail)
+            expected = np.append(expected, tail)
     else:
-        observed, exp, starts = _fold_zero_cells(cells.freqs, np.append(expected, tail))
-    k, last_obs, last_exp = _pool(observed, exp, threshold)
-    pooled = k < len(exp)
-    obs = observed[:k]
-    del exp[k:]
-    obs[-1], exp[-1] = last_obs, last_exp
+        observed, expected, starts = _fold_zero_cells(
+            cells.freqs, np.append(expected, tail)
+        )
+    k, last_exp = _pool(expected, threshold)
+    pooled = k < len(expected)
+    obs = cells.observed[:k] if starts is None else observed[:k].tolist()
+    exp = expected[:k].tolist()
+    # observed cells are whole numbers, so any order sums them exactly
+    obs[-1], exp[-1] = float(observed[k - 1 : len(expected)].sum()), last_exp
     chi2 = _chi2(obs, exp)
     df = k - 1 - n_params
     if df < 1:
@@ -274,7 +293,7 @@ def _gof(model: CountModel, cells: _Cells, n_params: int, threshold: float) -> G
             "its chi-squared term overflows"
         )
     return GofResult(
-        bins=tuple(map(Bin, labels, obs, exp)),
+        bins=_bins(labels, obs, exp),
         chi2=chi2,
         df=df,
         p_value=chi2_survival(chi2, df),

@@ -54,6 +54,9 @@ __all__ = ["sample", "grid_oracle", "recovery_experiment", "RecoveryReport"]
 
 _TAIL_MASS = 1e-12
 
+# the most values one call may draw, summed over its replicates
+MAX_VALUES = 10**9
+
 
 def _inverse_cdf_table(probs, start: int = 0, n: int | None = None) -> np.ndarray | None:
     """Cumulative probabilities from ``start`` until tail mass < 1e-12.
@@ -208,9 +211,15 @@ def _sampler(model: CountModel, n: int):
     raise InvalidModelError(f"cannot sample model {type(model).__name__}")
 
 
-def _check_size(n: int) -> None:
+def _check_size(n: int, replicates: int = 1) -> None:
+    """Refuse a sample size below 1, or more than MAX_VALUES values in all."""
     if n < 1:
         raise CountFitError(f"sample size must be >= 1, got {n!r}")
+    if n * replicates > MAX_VALUES:
+        raise CountFitError(
+            f"{n * replicates} values asked for (n={n}, replicates={replicates}); "
+            f"the cap is {MAX_VALUES}"
+        )
 
 
 def sample(model: CountModel, n: int, seed) -> np.ndarray:
@@ -355,7 +364,7 @@ def recovery_experiment(
         raise CountFitError(f"replicates must be >= 1, got {replicates!r}")
     family = family_of(true_model)
     truth = family.params(true_model)
-    _check_size(n)
+    _check_size(n, replicates)
     draw = _sampler(true_model, n)
     children = np.random.SeedSequence(seed).spawn(replicates)
     fits = _fit_replicates(

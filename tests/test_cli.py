@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from countfit import cli
 from countfit.cli import main, parse_model_spec, read_frequency_file
 from countfit.dist import NegBinomial, ZeroInflated
 from countfit.errors import InputFormatError
@@ -204,6 +205,20 @@ def test_simulate_degenerate(tmp_path):
 
 def test_simulate_bound_error():
     assert main(["simulate", "--model", "zig:pi=-5,p=0.4", "--n", "10"]) == 4
+
+
+def test_simulate_past_the_value_cap_is_an_estimator_error(capsys):
+    assert main(["simulate", "--model", "geom:p=0.5", "--n", "100000000000"]) == 4
+    assert "cap is 1000000000" in capsys.readouterr().err
+
+
+def test_memory_error_is_an_estimator_error(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(cli, "cmd_simulate", exhausted)
+    assert main(["simulate", "--model", "geom:p=0.5", "--n", "10"]) == 4
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 745. GiB\n"
 
 
 def test_simulate_fit_round_trip(tmp_path):

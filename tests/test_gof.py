@@ -1,11 +1,15 @@
+import builtins
+import dataclasses
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from countfit.cli import read_frequency_file
 from countfit.dist import Geometric, Hurdle, Poisson, ZeroInflated
 from countfit.errors import (
     CountFitError,
@@ -14,7 +18,9 @@ from countfit.errors import (
 )
 from countfit.estimate import mle_hg, mle_zig, summarize
 from countfit.gof import (
+    FAMILIES,
     Bin,
+    GofResult,
     aic,
     chi2_statistic,
     compare_models,
@@ -251,3 +257,57 @@ def test_overflowing_chi2_term_is_a_named_error():
     s = summarize({0: 1, 39: 1})
     with pytest.raises(CountFitError, match="bin '39' expects .* overflows"):
         gof_test(model, s, 2, 1.0)
+
+
+def test_bins_are_an_eager_tuple_of_bin_records():
+    # every record is built before gof_test returns: a field, not a view
+    assert "bins" in {f.name for f in dataclasses.fields(GofResult)}
+    s = summarize({0: 30, 1: 20, 2: 12, 3: 6, 4: 3, 5: 2, 9: 1})
+    g = gof_test(Geometric(p=0.45), s, 1)
+    assert type(g.bins) is tuple and all(type(b) is Bin for b in g.bins)
+    assert "bins" in vars(g)
+
+
+def test_bin_is_an_immutable_hashable_record():
+    b = Bin(label="3+", observed=2.0, expected=1.5)
+    assert b == Bin("3+", 2.0, 1.5) and hash(b) == hash(Bin("3+", 2.0, 1.5))
+    assert (b.label, b.observed, b.expected) == ("3+", 2.0, 1.5)
+    assert b != Bin("3+", 2.0, 1.25) and len({b, Bin("3+", 2.0, 1.5)}) == 1
+    # a named tuple: equal to the plain 3-tuple and unpacks like one
+    label, observed, expected = b
+    assert b == ("3+", 2.0, 1.5) and (label, observed, expected) == tuple(b)
+    with pytest.raises(AttributeError):
+        b.expected = 2.0
+
+
+def _neumaier_sum(iterable, /, start=0, *, _sum=builtins.sum):
+    """`sum` as Python 3.12 and later add floats: Neumaier compensation."""
+    items = list(iterable)
+    if type(start) not in (int, float) or not all(type(x) is float for x in items):
+        return _sum(items, start)
+    total, c = float(start), 0.0
+    for x in items:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def _golden_reports():
+    out = []
+    for path in sorted((Path(__file__).parent / "data" / "cli_golden").glob("*.csv")):
+        try:
+            s, _ = read_frequency_file(str(path))
+            report = compare_models(s, list(FAMILIES))
+        except CountFitError:
+            continue
+        out.append((path.name, [(e.gof.chi2, e.gof.p_value) for e in report.entries if e.gof]))
+    return out
+
+
+def test_chi2_bits_do_not_depend_on_how_sum_adds_floats(monkeypatch):
+    want = _golden_reports()
+    assert sum(len(r) for _, r in want) >= 40
+    assert _neumaier_sum([1.0, 1e100, 1.0, -1e100]) == 2.0  # the emulation compensates
+    monkeypatch.setattr(builtins, "sum", _neumaier_sum)
+    assert _golden_reports() == want

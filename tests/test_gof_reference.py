@@ -92,7 +92,9 @@ def _ref_gof(model, s, n_params, threshold):
     bins = _ref_pool_tail(obs, exp, threshold, labels=labels)
     if any(b.expected <= 0.0 for b in bins):
         raise CountFitError("chi-squared statistic undefined for expected <= 0")
-    chi2 = sum((b.observed - b.expected) ** 2 / b.expected for b in bins)
+    chi2 = 0.0
+    for b in bins:
+        chi2 += (b.observed - b.expected) ** 2 / b.expected
     df = len(bins) - 1 - n_params
     if df < 1:
         raise DegenerateBinningError(f"df = {len(bins)} bins - 1 - {n_params} params = {df} < 1")

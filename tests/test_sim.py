@@ -34,6 +34,18 @@ def test_sample_determinism(rng):
         assert np.array_equal(a, b)
 
 
+def test_more_values_than_the_cap_are_refused_before_drawing(monkeypatch):
+    def no_draw(model, n):
+        raise AssertionError("a sampler was built")
+
+    monkeypatch.setattr(sim, "_sampler", no_draw)
+    model = NegBinomial(p=0.2, k=0.5)
+    with pytest.raises(CountFitError, match=f"cap is {sim.MAX_VALUES}"):
+        sample(model, 10**11, 0)
+    with pytest.raises(CountFitError, match=f"n=1000000, replicates=10000.*cap is {sim.MAX_VALUES}"):
+        recovery_experiment(model, 10**6, 10**4, 0)
+
+
 def test_sample_degenerate_models():
     assert np.all(sample(Geometric(p=1.0), 50, 1) == 0)
     assert np.all(sample(Hurdle(pi=1.0, base=Geometric(p=0.5)), 100, 1) == 0)
