@@ -19,7 +19,6 @@ from .dist import (
     log_pmf,
     log_pmf_array,
     moments,
-    pgf,
     pmf,
 )
 from .errors import (
@@ -37,7 +36,7 @@ from .estimate import (
     FitResult,
     FrequencySample,
     SolverInfo,
-    hg_zig_reparam,
+    aic,
     loglik,
     mle_geometric,
     mle_hg,
@@ -45,19 +44,14 @@ from .estimate import (
     mle_poisson,
     mle_zig,
     mom_nb,
-    score_residuals,
     summarize,
-    zig_hg_reparam,
 )
 from .gof import (
     ComparisonReport,
     GofResult,
-    aic,
-    chi2_statistic,
     compare_models,
     expected_counts,
     gof_test,
-    pool_tail,
 )
-from .sim import RecoveryReport, grid_oracle, recovery_experiment, sample
+from .sim import RecoveryReport, recovery_experiment, sample
 from .specfn import chi2_survival

@@ -41,7 +41,8 @@ def read_frequency_file(path: str) -> tuple[FrequencySample, str]:
     freq: dict[int, int] = {}
     last = -1
     try:
-        text = raw.decode("utf-8")
+        # utf-8-sig drops the byte-order mark that spreadsheet exports begin with
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     rows = [

@@ -1,4 +1,4 @@
-"""Count distributions: pmf, log-pmf, generating functions and moments.
+"""Count distributions: pmf, log-pmf and moments.
 
 Supported families: Poisson, geometric, negative binomial, and the two
 compound constructions (zero-inflated/deflated and hurdle) over any of the
@@ -28,7 +28,6 @@ __all__ = [
     "pmf",
     "log_pmf",
     "log_pmf_array",
-    "pgf",
     "moments",
 ]
 
@@ -174,9 +173,12 @@ def _log_nb_coefficient(y: np.ndarray, k: float) -> np.ndarray:
     over j < y, so near the Poisson limit (k large) no two terms of size
     ln Gamma(k) cancel. Past the rule it is ``math.lgamma`` over the
     distinct counts, where ln Gamma(k) does cancel: about eps * k ln k
-    absolute at large k.
+    absolute at large k. A subnormal k, where j/k overflows below the
+    largest count, takes the ``math.lgamma`` form too.
     """
-    sums = _sums_below(y, lambda j: np.log1p(j / k) - np.log1p(j))
+    sums = None
+    if not y.size or (float(y.max()) - 1.0) / k < math.inf:
+        sums = _sums_below(y, lambda j: np.log1p(j / k) - np.log1p(j))
     if sums is not None:
         return y * math.log(k) + sums
     lg_k = math.lgamma(k)
@@ -245,24 +247,6 @@ def pmf(model: CountModel, y: int) -> float:
     """P(Y=y); exact 0.0 for structurally impossible outcomes."""
     lp = log_pmf(model, y)
     return 0.0 if lp == _NEG_INF else math.exp(lp)
-
-
-def pgf(model: CountModel, z: float) -> float:
-    """Probability generating function E(z^Y) for |z| <= 1."""
-    if abs(z) > 1.0:
-        raise InvalidModelError(f"pgf requires |z| <= 1, got {z!r}")
-    if isinstance(model, Poisson):
-        return math.exp(model.mean * (z - 1.0))
-    if isinstance(model, Geometric):
-        return model.p / (1.0 - (1.0 - model.p) * z)
-    if isinstance(model, NegBinomial):
-        return (model.p / (1.0 - (1.0 - model.p) * z)) ** model.k
-    if isinstance(model, ZeroInflated):
-        return model.pi + (1.0 - model.pi) * pgf(model.base, z)
-    if isinstance(model, Hurdle):
-        p0 = pmf(model.base, 0)
-        return model.pi + (1.0 - model.pi) * (pgf(model.base, z) - p0) / (1.0 - p0)
-    raise InvalidModelError(f"unknown model type {type(model).__name__}")
 
 
 def moments(model: CountModel) -> Moments:

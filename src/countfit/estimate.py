@@ -15,7 +15,6 @@ The CLI, `gof` and `sim` read it; adding a family is adding a record.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -52,15 +51,12 @@ __all__ = [
     "aic",
     "summarize",
     "loglik",
-    "score_residuals",
     "mle_zig",
     "mle_hg",
     "mle_geometric",
     "mle_poisson",
     "mle_nb",
     "mom_nb",
-    "zig_hg_reparam",
-    "hg_zig_reparam",
 ]
 
 _BRACKET_CAP = 1e8
@@ -106,12 +102,6 @@ class FrequencySample:
         if self.counts is None:
             return None
         return MappingProxyType(dict(zip(self.counts.tolist(), self.freqs.tolist())))
-
-    def counts_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct counts and their frequencies as aligned arrays."""
-        if self.counts is None:
-            raise EstimationError("operation requires the full frequency table")
-        return self.counts, self.freqs
 
 
 def summarize(data: Iterable[int] | Mapping[int, int]) -> FrequencySample:
@@ -287,51 +277,6 @@ def _loglik_structured(model: CountModel, s: FrequencySample) -> float:
     )
 
 
-def score_residuals(model: CountModel, s: FrequencySample) -> np.ndarray:
-    """Score-equation values at the model's parameters.
-
-    Components are the partial derivatives of the log-likelihood with
-    respect to (pi, p), (p, k), p or the Poisson mean, depending on the
-    family. At a closed-form MLE every component vanishes.
-    """
-    n, n0, m = s.n, s.n0, s.mean
-    if isinstance(model, ZeroInflated) and isinstance(model.base, Geometric):
-        pi, p = model.pi, model.base.p
-        p0 = pi + (1.0 - pi) * p
-        if p0 <= 0.0 or pi >= 1.0:
-            warnings.warn("score evaluated at a boundary parameter; one-sided")
-            return np.array([float("nan"), float("nan")])
-        d_pi = n0 * (1.0 - p) / p0 - (n - n0) / (1.0 - pi)
-        d_p = n0 * (1.0 - pi) / p0 + (n - n0) / p - m * n / (1.0 - p)
-        return np.array([d_pi, d_p])
-    if isinstance(model, Hurdle) and isinstance(model.base, Geometric):
-        pi, p = model.pi, model.base.p
-        if pi in (0.0, 1.0):
-            warnings.warn("score evaluated at a boundary parameter; one-sided")
-        d_pi = (n0 / pi if pi > 0.0 else float("inf")) - (
-            (n - n0) / (1.0 - pi) if pi < 1.0 else float("inf")
-        )
-        d_p = (n - n0) * (1.0 / (1.0 - p) + 1.0 / p) - m * n / (1.0 - p)
-        return np.array([d_pi, d_p])
-    if isinstance(model, NegBinomial):
-        p, k = model.p, model.k
-        d_p = n * k / p - m * n / (1.0 - p)
-        # the profile score plus the gap between log p and its profile value
-        g = _nb_profile_score(*s.counts_arrays(), n, m)(k)[0]
-        d_k = g + n * (math.log(p) + math.log1p(m / k))
-        return np.array([d_p, d_k])
-    if isinstance(model, Geometric):
-        return np.array([n / model.p - m * n / (1.0 - model.p)])
-    if isinstance(model, Poisson):
-        if model.mean == 0.0:
-            warnings.warn("score evaluated at a boundary parameter; one-sided")
-            return np.array([float("inf") if m > 0 else 0.0])
-        return np.array([m * n / model.mean - n])
-    raise InvalidModelError(
-        f"score equations not available for {type(model).__name__}"
-    )
-
-
 def _require_nonzero_mean(s: FrequencySample) -> None:
     if s.mean == 0.0:
         raise AllZerosError("every observation is zero; no two-parameter fit exists")
@@ -497,7 +442,7 @@ def mle_nb(s: FrequencySample) -> FitResult:
             "the NB score equation has no finite root"
         )
     n, m = s.n, s.mean
-    score = _nb_profile_score(*s.counts_arrays(), n, m)
+    score = _nb_profile_score(s.counts, s.freqs, n, m)
     k_mom = _moments_shape(m, s.var)
     lo = min(max(_BRACKET_FLOOR, k_mom / 10.0), _BRACKET_CAP)
     hi = max(min(_BRACKET_CAP, k_mom * 10.0), _BRACKET_FLOOR)
@@ -624,16 +569,6 @@ def _nb_shape_rows(
         )
         k[i] = mle_nb(s).model.k
     return k
-
-
-def zig_hg_reparam(pi_zig: float, p: float) -> float:
-    """Map ZIG parameters to the hurdle zero mass with identical pmf."""
-    return pi_zig + (1.0 - pi_zig) * p
-
-
-def hg_zig_reparam(pi_hg: float, p: float) -> float:
-    """Inverse map: hurdle zero mass back to the ZIG mixing weight."""
-    return (pi_hg - p) / (1.0 - p)
 
 
 # Row fitters: (table, n, n0, mean, var) of a (rows, L) frequency table ->

@@ -7,9 +7,9 @@ cells into the bins of the test:
 
 1. A cell that expects exactly 0 folds into the next cell up that expects
    more; a zero run at the top folds into the last such cell instead.
-2. The upper tail pools as `pool_tail` says: the last bin absorbs the one
-   below it while more than MIN_BINS bins remain and both expect less
-   than the threshold.
+2. The upper tail pools: the last bin absorbs the one below it while
+   more than MIN_BINS bins remain and both expect less than the
+   threshold, which must be > 0 (inf pools down to MIN_BINS bins).
 3. chi2 is the sum of (o - e)**2 / e over the bins, left to right, and
    df = bins - 1 - fitted parameters.
 
@@ -27,8 +27,7 @@ is a named tuple made by `tuple.__new__` in C, one tuple per bin with no
 Python frame; labels and chi2 are O(B) Python loops.
 `compare_models` builds the observed cells and the cell names once per
 sample and shares them across its families, which it fits by their "mle"
-fitters in `estimate.FAMILY_TABLE`; `FAMILIES` and `N_PARAMS` are views of
-that table.
+fitters in `estimate.FAMILY_TABLE`; `FAMILIES` is a view of that table.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from .errors import (
     EstimationError,
     InvalidModelError,
 )
-from .estimate import FAMILY_TABLE, FitResult, FrequencySample, aic
+from .estimate import FAMILY_TABLE, FitResult, FrequencySample
 from .specfn import chi2_survival
 
 __all__ = [
@@ -56,18 +55,12 @@ __all__ = [
     "ModelEntry",
     "ComparisonReport",
     "expected_counts",
-    "pool_tail",
-    "chi2_statistic",
     "gof_test",
-    "aic",
     "compare_models",
     "FAMILIES",
-    "N_PARAMS",
 ]
 
 FAMILIES = tuple(FAMILY_TABLE)
-
-N_PARAMS = {name: family.n_params for name, family in FAMILY_TABLE.items()}
 
 MIN_BINS = 3
 
@@ -125,6 +118,12 @@ def expected_counts(model: CountModel, n: int, max_count: int) -> list[float]:
     return cells.tolist() + [tail]
 
 
+def _check_threshold(threshold: float) -> None:
+    # written so that a NaN threshold fails too
+    if not threshold > 0.0:
+        raise CountFitError(f"pooling threshold must be > 0, got {threshold!r}")
+
+
 def _pool(expected: np.ndarray, threshold: float) -> tuple[int, float]:
     """The tail pooling rule: bins left, and the last bin's expected count.
 
@@ -132,8 +131,7 @@ def _pool(expected: np.ndarray, threshold: float) -> tuple[int, float]:
     order a one-cell-at-a-time merge adds them (cumsum is sequential and
     addition commutes), so the pooled count is the same bits.
     """
-    if threshold <= 0.0:
-        raise CountFitError(f"pooling threshold must be > 0, got {threshold!r}")
+    _check_threshold(threshold)
     k = len(expected)
     if k < MIN_BINS:
         raise DegenerateBinningError(f"pooling left only {k} bins (< {MIN_BINS})")
@@ -147,35 +145,6 @@ def _pool(expected: np.ndarray, threshold: float) -> tuple[int, float]:
     return k - merged, float(tail[merged])
 
 
-def pool_tail(
-    observed: list[float],
-    expected: list[float],
-    threshold: float,
-    labels: list[str] | None = None,
-) -> list[Bin]:
-    """Merge sparse upper-tail cells until the tail clears the threshold.
-
-    Pooling proceeds from the largest count downward: the last cell
-    absorbs the one below it while more than MIN_BINS cells remain and
-    both its own expected frequency and that of the cell below are under
-    the threshold. Lower cells are never touched. A pooled last bin is
-    labelled with the first count of its label and "+".
-    """
-    if len(observed) != len(expected):
-        raise CountFitError("observed and expected must have equal length")
-    k, last_exp = _pool(np.asarray(expected, dtype=np.float64), threshold)
-    obs, exp = list(observed[:k]), list(expected[:k])
-    labels = list(labels)[:k] if labels is not None else [str(y) for y in range(k)]
-    if k < len(expected):
-        labels[-1] = f"{labels[-1].split(',')[0]}+"
-    # the pooled cells from the top down, as a one-cell-at-a-time merge adds them
-    last_obs = observed[-1]
-    for o in reversed(observed[k - 1 : -1]):
-        last_obs = o + last_obs
-    obs[-1], exp[-1] = last_obs, last_exp
-    return list(_bins(labels, obs, exp))
-
-
 def _chi2(observed: list[float], expected: list[float]) -> float:
     # left to right with Python's float pow, not numpy's x*x: the two
     # differ in the last bit for some values. A plain loop, not sum(),
@@ -185,13 +154,6 @@ def _chi2(observed: list[float], expected: list[float]) -> float:
     for o, e in zip(observed, expected):
         total += (o - e) ** 2 / e
     return total
-
-
-def chi2_statistic(bins: list[Bin]) -> float:
-    """Pearson statistic sum (obs - exp)^2 / exp over the pooled bins."""
-    if any(b.expected <= 0.0 for b in bins):
-        raise CountFitError("chi-squared statistic undefined for expected <= 0")
-    return _chi2([b.observed for b in bins], [b.expected for b in bins])
 
 
 @dataclass(frozen=True)
@@ -313,11 +275,12 @@ def gof_test(
     The bins come from the cells 0..largest count plus a tail cell, by the
     fold, pool and label rules of this module's docstring. Observed values
     are exact while n < 2**53, and expected values and chi2 are the same
-    bits as folding and pooling one cell at a time. Raises
-    DegenerateBinningError for an all-zero sample, a largest count past
-    `summarize`'s table size rule, fewer than MIN_BINS bins or df < 1, and
-    CountFitError naming the bin when a chi-squared term overflows (a bin
-    expecting about 1e-300 or less that holds an observation).
+    bits as folding and pooling one cell at a time. Raises CountFitError
+    for a threshold that is not > 0 (NaN included); DegenerateBinningError
+    for an all-zero sample, a largest count past `summarize`'s table size
+    rule, fewer than MIN_BINS bins or df < 1; and CountFitError naming the
+    bin when a chi-squared term overflows (a bin expecting about 1e-300 or
+    less that holds an observation).
     """
     return _gof(model, _cells(s), n_params, threshold)
 
@@ -330,14 +293,16 @@ def compare_models(
     """Fit each requested family, test its fit, and rank by AIC.
 
     Estimator failures (e.g. NB on under-dispersed data) become error
-    entries instead of aborting the report. The sample's GOF cells are
-    built once and shared by every family's test.
+    entries instead of aborting the report; a threshold that is not > 0
+    is refused before any fit. The sample's GOF cells are built once and
+    shared by every family's test.
     """
     if not families:
         raise CountFitError("at least one model family is required")
     unknown = [f for f in families if f not in FAMILY_TABLE]
     if unknown:
         raise CountFitError(f"unknown families: {unknown}; choose from {FAMILIES}")
+    _check_threshold(threshold)
     try:
         cells: _Cells | None = _cells(s)
     except CountFitError:

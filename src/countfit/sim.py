@@ -1,4 +1,4 @@
-"""Sampling, a brute-force likelihood-grid oracle, and recovery experiments.
+"""Sampling and recovery experiments.
 
 Random streams come from numpy's default PCG64 generator seeded through
 SeedSequence, so identical (model, n, seed) inputs reproduce the exact
@@ -42,15 +42,9 @@ from .dist import (
     pmf,
 )
 from .errors import CountFitError, InvalidModelError
-from .estimate import (
-    Family,
-    FrequencySample,
-    _summarize_rows,
-    family_of,
-    summarize,
-)
+from .estimate import Family, _summarize_rows, family_of, summarize
 
-__all__ = ["sample", "grid_oracle", "recovery_experiment", "RecoveryReport"]
+__all__ = ["sample", "recovery_experiment", "RecoveryReport"]
 
 _TAIL_MASS = 1e-12
 
@@ -226,50 +220,6 @@ def sample(model: CountModel, n: int, seed) -> np.ndarray:
     """Draw n counts from the model, deterministically in the seed."""
     _check_size(n)
     return _sampler(model, n)(np.random.default_rng(seed))
-
-
-def grid_oracle(
-    s: FrequencySample, family: str, resolution: int = 1000
-) -> tuple[dict[str, float], float]:
-    """Exhaustive lattice search of the (pi, p) log-likelihood surface.
-
-    Returns the lattice maximizer and its log-likelihood. Independent of
-    the closed-form estimators: the likelihood is evaluated directly from
-    its structured form at every lattice point. The p-axis endpoints are
-    fixed, so doubling the resolution refines the lattice in place.
-    """
-    if resolution < 100:
-        raise CountFitError(f"resolution must be >= 100, got {resolution!r}")
-    if family not in ("zig", "hg"):
-        raise CountFitError(f"grid oracle supports 'zig' and 'hg', not {family!r}")
-    n, n0, m = s.n, s.n0, s.mean
-    eps = 1e-6
-    p = np.linspace(eps, 1.0 - eps, resolution + 1)
-    t = np.linspace(0.0, 1.0, resolution + 1)[:, None]
-    s_total = m * n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if family == "zig":
-            pi_lo = -p / (1.0 - p)
-            pi = pi_lo[None, :] + t * ((1.0 - eps) - pi_lo[None, :])
-            p0 = pi + (1.0 - pi) * p[None, :]
-            ll = (
-                n0 * np.log(p0)
-                + (n - n0) * np.log1p(-pi)
-                + (n - n0) * np.log(p[None, :])
-                + s_total * np.log1p(-p[None, :])
-            )
-        else:
-            pi = t * np.ones_like(p)[None, :] * (1.0 - eps)
-            term_pi = np.where(n0 > 0, n0 * np.log(pi), 0.0)
-            ll = (
-                term_pi
-                + (n - n0) * np.log1p(-pi)
-                + (n - n0) * np.log(p[None, :])
-                + (s_total - (n - n0)) * np.log1p(-p[None, :])
-            )
-    ll = np.where(np.isfinite(ll), ll, -np.inf)
-    i, j = np.unravel_index(np.argmax(ll), ll.shape)
-    return {"pi": float(pi[i, j]), "p": float(p[j])}, float(ll[i, j])
 
 
 @dataclass(frozen=True)

