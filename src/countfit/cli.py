@@ -56,6 +56,9 @@ def read_frequency_file(path: str) -> tuple[FrequencySample, str]:
             continue
         if len(parts) != 2:
             raise InputFormatError(f"{path}: malformed row {line!r}")
+        # int() would also take "+4", "1_0" and digits of other scripts
+        if not all(c.isascii() and c.removeprefix("-").isdigit() for c in parts):
+            raise InputFormatError(f"{path}: non-integer row {line!r}")
         try:
             count, frequency = int(parts[0]), int(parts[1])
         except ValueError as exc:

@@ -2,10 +2,8 @@
 
 Zero-inflated geometric, hurdle geometric, geometric and Poisson fits are
 closed-form. The negative binomial shape is the unique root of its
-finite-sum profile score (Bliss & Fisher 1953), solved by safeguarded
-Newton iteration in log k inside an expanding bracket, with bisection
-fallback; a score still positive at the bracket cap is reported as the
-Poisson limit.
+finite-sum profile score (Bliss & Fisher 1953); one solver, `_solve_log_k`
+(safeguarded Newton in log k), finds it for the scalar and the row fits.
 
 `FAMILY_TABLE` defines each fitted family in one place: its parameter
 names, how to build and read its models, and its scalar and row fitters.
@@ -61,8 +59,6 @@ __all__ = [
 
 _BRACKET_CAP = 1e8
 _BRACKET_FLOOR = 1e-8
-# largest NB shape the lockstep row solver returns without calling mle_nb
-_ROWS_K_MAX = 1e4
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,9 +86,14 @@ class FrequencySample:
     def from_summary(
         cls, n: int, n0: int, mean: float, var: float | None = None
     ) -> "FrequencySample":
-        if n < 1 or n0 < 0 or n0 > n or mean < 0.0:
+        """A sample known only by its summary; refuses one no counts can give."""
+        # n - n0 nonzero counts sum to at least n - n0; with none, to 0
+        if not (all(isinstance(v, (int, np.integer)) for v in (n, n0))
+                and 1 <= n and 0 <= n0 <= n and math.isfinite(mean)
+                and mean >= (n - n0) / n and (n0 < n or mean == 0.0)
+                and (var is None or 0.0 <= var < math.inf)):
             raise EstimationError(
-                f"inconsistent summary: n={n!r}, n0={n0!r}, mean={mean!r}"
+                f"inconsistent summary: n={n!r}, n0={n0!r}, mean={mean!r}, var={var!r}"
             )
         return cls(counts=None, freqs=None, n=n, n0=n0, mean=mean, var=var)
 
@@ -426,12 +427,8 @@ def mle_nb(s: FrequencySample) -> FitResult:
     """Numerical NB MLE: the root in k of the finite-sum profile score.
 
     The root is unique when the variance exceeds the mean (Aragon, Eberly &
-    Eberly 1992), with the score positive below it. The bracket is the
-    moments shape /10 and *10, widened tenfold within [1e-8, 1e8]. Newton
-    in log k starts at the moments shape, bisects when a step leaves the
-    bracket, and stops at the first point reached by a step below 1e-10.
-    A score still positive at the cap gives k = 1e8, flagged as the Poisson
-    limit; one not positive at the floor gives k = 1e-8, also flagged.
+    Eberly 1992); `_solve_log_k` states the rules. ``iterations`` counts
+    every score evaluation, the last one at k giving ``residual``.
     """
     _require_nonzero_mean(s)
     if s.var is None or s.counts is None:
@@ -443,58 +440,88 @@ def mle_nb(s: FrequencySample) -> FitResult:
         )
     n, m = s.n, s.mean
     score = _nb_profile_score(s.counts, s.freqs, n, m)
-    k_mom = _moments_shape(m, s.var)
-    lo = min(max(_BRACKET_FLOOR, k_mom / 10.0), _BRACKET_CAP)
-    hi = max(min(_BRACKET_CAP, k_mom * 10.0), _BRACKET_FLOOR)
-    g_lo, g_hi = score(lo)[0], score(hi)[0]
-    evals = 2
-    while g_lo <= 0.0 and lo > _BRACKET_FLOOR:
-        hi, g_hi = lo, g_lo
-        lo = max(_BRACKET_FLOOR, lo / 10.0)
-        g_lo = score(lo)[0]
-        evals += 1
-    while g_hi > 0.0 and hi < _BRACKET_CAP:
-        lo, g_lo = hi, g_hi
-        hi = min(_BRACKET_CAP, hi * 10.0)
-        g_hi = score(hi)[0]
-        evals += 1
-    bracket = (lo, hi)
-    notes: tuple[str, ...] = ()
-    if g_hi > 0.0:
-        k, g = hi, g_hi
-        notes = (f"Poisson limit: the NB score is still positive at the cap k={hi:.0e}",)
-    elif g_lo <= 0.0:
-        k, g = lo, g_lo
-        notes = (f"the NB score is not positive at the floor k={lo:.0e}",)
-    else:
-        k = k_mom if lo < k_mom < hi else math.sqrt(lo * hi)
-        step = math.inf
-        for _ in range(100):
-            g, dg = score(k)
-            evals += 1
-            if abs(step) < 1e-10:
-                break
-            if g > 0.0:
-                lo = k
-            else:
-                hi = k
-            t = math.log(k)
-            t_new = t - g / (k * dg) if dg < 0.0 else math.inf
-            # a converged step may round onto the bracket's edge; keep it
-            if abs(t_new - t) >= 1e-10 and not math.log(lo) < t_new < math.log(hi):
-                t_new = 0.5 * (math.log(lo) + math.log(hi))
-            step = t_new - t
-            k = math.exp(t_new)
-    model = NegBinomial(p=k / (m + k), k=k)
-    info = SolverInfo(
-        method="newton-bisection",
-        iterations=evals,
-        bracket=bracket,
-        residual=g,
-        boundary=bool(notes),
-        notes=notes,
+
+    def row_score(rows: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
+        return tuple(np.array([v]) for v in score(float(k[0])))
+
+    k, (lo, hi), g, evals, cap, floor = _solve_log_k(
+        row_score, np.array([_moments_shape(m, s.var)]), _libm(math.exp), _libm(math.log)
     )
+    k, g, evals = float(k[0]), float(g[0]), int(evals[0])
+    notes: tuple[str, ...] = ()
+    if cap[0]:
+        notes = (f"Poisson limit: the NB score is still positive at the cap k={k:.0e}",)
+    elif floor[0]:
+        notes = (f"the NB score is not positive at the floor k={k:.0e}",)
+    else:
+        g, evals = score(k)[0], evals + 1
+    model = NegBinomial(p=k / (m + k), k=k)
+    bracket = (float(lo[0]), float(hi[0]))
+    info = SolverInfo("newton-bisection", evals, bracket, g, bool(notes), notes)
     return _fit_result(model, loglik(model, s), 2, info)
+
+
+def _libm(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """libm's f (through `math`) elementwise over a float array."""
+    return lambda x: np.array([f(v) for v in x.tolist()])
+
+
+def _solve_log_k(score, k0: np.ndarray, exp, log) -> tuple:
+    """Safeguarded Newton in log k for NB shapes, every row in lockstep.
+
+    The one statement of the NB solver's rules. ``score(rows, k)`` gives the
+    profile score g (positive below the root) and g' for the numbered rows;
+    ``k0`` holds their moments shapes. Per row, the bracket k0/10, k0*10 in
+    [1e-8, 1e8] moves down tenfold while g <= 0 at its low end, then up while
+    g > 0 at its high end. g > 0 at the cap gives k = 1e8 (cap); else g <= 0 at
+    the floor gives k = 1e-8 (floor). Else Newton in log k runs from k0 (the
+    bracket's log-midpoint if k0 is outside), each g narrowing the bracket by
+    its sign. A step >= 1e-10 that leaves the bracket becomes a bisection (a
+    smaller one may round onto an edge and stands), and the row ends,
+    unevaluated, where its first step < 1e-10 lands (or after 100 steps).
+    Returns per row: k, the widened bracket (lo, hi), the last g, the evaluation
+    count, and the cap and floor flags. Near the Poisson limit g's terms cancel
+    to about 1/k of their size: for k >~ 1e6 the digits of k past about 1e-9
+    relative are roundoff. Each caller passes its own elementwise ``exp`` and
+    ``log``: numpy's SIMD ones can differ from libm's in the last bit, and the
+    recorded reports hold libm's bits for `mle_nb` and numpy's for the row fits.
+    """
+    lo = np.minimum(np.maximum(_BRACKET_FLOOR, k0 / 10.0), _BRACKET_CAP)
+    hi = np.maximum(np.minimum(_BRACKET_CAP, k0 * 10.0), _BRACKET_FLOOR)
+    g_lo, g_hi = (score(np.arange(k0.size), end)[0] for end in (lo, hi))
+    evals = np.full(k0.size, 2)
+    while (grow := np.flatnonzero((g_lo <= 0.0) & (lo > _BRACKET_FLOOR))).size:
+        hi[grow], g_hi[grow] = lo[grow], g_lo[grow]
+        lo[grow] = np.maximum(_BRACKET_FLOOR, lo[grow] / 10.0)
+        g_lo[grow] = score(grow, lo[grow])[0]
+        evals[grow] += 1
+    while (grow := np.flatnonzero((g_hi > 0.0) & (hi < _BRACKET_CAP))).size:
+        lo[grow], g_lo[grow] = hi[grow], g_hi[grow]
+        hi[grow] = np.minimum(_BRACKET_CAP, hi[grow] * 10.0)
+        g_hi[grow] = score(grow, hi[grow])[0]
+        evals[grow] += 1
+    cap = g_hi > 0.0
+    floor = ~cap & (g_lo <= 0.0)
+    k, g = np.where(cap, hi, lo), np.where(cap, g_hi, g_lo)
+    rows = np.flatnonzero(~cap & ~floor)
+    kr = np.where((lo < k0) & (k0 < hi), k0, np.sqrt(lo * hi))[rows]
+    t_lo, t_hi = log(lo[rows]), log(hi[rows])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            if not rows.size:
+                break
+            gr, dg = score(rows, kr)
+            g[rows] = gr
+            evals[rows] += 1
+            t = log(kr)
+            t_lo, t_hi = np.where(gr > 0.0, t, t_lo), np.where(gr > 0.0, t_hi, t)
+            t_new = np.where(dg < 0.0, t - gr / (kr * dg), np.inf)
+            bisect = (np.abs(t_new - t) >= 1e-10) & ~((t_lo < t_new) & (t_new < t_hi))
+            t_new = np.where(bisect, 0.5 * (t_lo + t_hi), t_new)
+            k[rows] = kr = exp(t_new)
+            keep = ~(np.abs(t_new - t) < 1e-10)
+            rows, kr, t_lo, t_hi = rows[keep], kr[keep], t_lo[keep], t_hi[keep]
+    return k, (lo, hi), g, evals, cap, floor
 
 
 def _nb_shape_rows(
@@ -503,15 +530,9 @@ def _nb_shape_rows(
     """`mle_nb`'s shape k for every row of a (rows, L) frequency table.
 
     Each row holds n values with 0 < mean < var, and the table fits the
-    dense size rule. The rows step in lockstep under `mle_nb`'s rules, row
-    by row: the bracket from the moments shape /10 and *10, widened tenfold
-    within [1e-8, 1e8]; exactly 1e8 where the score is still positive at the
-    cap and 1e-8 where it is not positive at the floor; Newton in log k from
-    the moments shape, bisecting when a step leaves the bracket, until a
-    step below 1e-10. Sums run over the padded row, so k agrees with
-    `mle_nb` to roundoff, not bit for bit: near the Poisson limit that
-    roundoff moves the root by up to about 20*eps*k relative, so rows whose
-    shape comes out above 1e4 are solved again by `mle_nb` itself.
+    dense size rule; one `_solve_log_k` call solves them all. Sums run over
+    the padded row, so k matches `mle_nb` to roundoff, up to about 20*eps*k
+    relative near the Poisson limit: rows past k = 1e4 go to `mle_nb`.
     """
     j = np.arange(table.shape[1] - 1, dtype=np.float64)
     ja = j * (n - np.cumsum(table[:, :-1], axis=1))  # j * A_j per row
@@ -526,42 +547,8 @@ def _nb_shape_rows(
         g = n * phi - s1 / k
         return g, (s1 + k * s2 - n * mr * mr / (mr + k)) / (k * k)
 
-    k_mom = _moments_shape(m, var)
-    lo = np.minimum(np.maximum(_BRACKET_FLOOR, k_mom / 10.0), _BRACKET_CAP)
-    hi = np.maximum(np.minimum(_BRACKET_CAP, k_mom * 10.0), _BRACKET_FLOOR)
-    every = np.arange(len(table))
-    g_lo, g_hi = score(every, lo)[0], score(every, hi)[0]
-    while (grow := np.flatnonzero((g_lo <= 0.0) & (lo > _BRACKET_FLOOR))).size:
-        hi[grow], g_hi[grow] = lo[grow], g_lo[grow]
-        lo[grow] = np.maximum(_BRACKET_FLOOR, lo[grow] / 10.0)
-        g_lo[grow] = score(grow, lo[grow])[0]
-    while (grow := np.flatnonzero((g_hi > 0.0) & (hi < _BRACKET_CAP))).size:
-        lo[grow], g_lo[grow] = hi[grow], g_hi[grow]
-        hi[grow] = np.minimum(_BRACKET_CAP, hi[grow] * 10.0)
-        g_hi[grow] = score(grow, hi[grow])[0]
-    k = np.where(g_hi > 0.0, hi, np.where(g_lo <= 0.0, lo, k_mom))
-    active = np.flatnonzero(~(g_hi > 0.0) & ~(g_lo <= 0.0))
-    k[active] = np.where(
-        (lo < k_mom) & (k_mom < hi), k_mom, np.sqrt(lo * hi)
-    )[active]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(100):
-            if not active.size:
-                break
-            ka = k[active]
-            g, dg = score(active, ka)
-            lo[active] = np.where(g > 0.0, ka, lo[active])
-            hi[active] = np.where(g > 0.0, hi[active], ka)
-            t = np.log(ka)
-            t_new = np.where(dg < 0.0, t - g / (ka * dg), np.inf)
-            log_lo, log_hi = np.log(lo[active]), np.log(hi[active])
-            outside = ~((log_lo < t_new) & (t_new < log_hi))
-            t_new = np.where(
-                (np.abs(t_new - t) >= 1e-10) & outside, 0.5 * (log_lo + log_hi), t_new
-            )
-            k[active] = np.exp(t_new)
-            active = active[~(np.abs(t_new - t) < 1e-10)]
-    for i in np.flatnonzero(k > _ROWS_K_MAX):
+    k = _solve_log_k(score, _moments_shape(m, var), np.exp, np.log)[0]
+    for i in np.flatnonzero(k > 1e4):
         counts = np.flatnonzero(table[i])
         s = FrequencySample(
             counts=counts, freqs=table[i, counts], n=n, n0=int(table[i, 0]),

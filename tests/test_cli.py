@@ -56,6 +56,26 @@ def test_read_frequency_file_rejects_disorder(tmp_path):
         read_frequency_file(str(path))
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1_0,5", "non-integer row"),  # int() read 10
+        ("\u0663,5", "non-integer row"),  # an Arabic-Indic 3
+        ("+4,5", "non-integer row"),
+        ("4,+5", "non-integer row"),
+        ("4, 5 6", "non-integer row"),
+        ("4.0,5", "non-integer row"),
+        ("-4,5", "negative value in row"),
+        ("4,-5", "negative value in row"),
+    ],
+)
+def test_rows_take_ascii_digits_only(row, message, tmp_path, capsys):
+    path = tmp_path / "digits.csv"
+    path.write_text(f"count,frequency\n0,3\n{row}\n", encoding="utf-8")
+    assert main(["fit", str(path), "--model", "geom"]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_parse_model_spec():
     m = parse_model_spec("zig:pi=0.3,p=0.4")
     assert isinstance(m, ZeroInflated)

@@ -154,6 +154,37 @@ def test_loglik_trivial():
     assert loglik(Hurdle(pi=0.0, base=Geometric(p=0.5)), s) == float("-inf")
 
 
+@pytest.mark.parametrize(
+    "n, n0, mean, var",
+    [
+        (10.5, 2, 1.0, None),  # mle_zig gave pi = -3.25
+        (10, 2.0, 1.0, None),
+        (10, 10, 2.0, None),  # all zeros with a positive mean
+        (10, 2, 0.5, None),  # eight nonzero counts cannot sum to 5
+        (10, 2, math.nan, None),
+        (10, 2, math.inf, None),
+        (10, 2, -1.0, None),
+        (10, 11, 2.0, None),
+        (0, 0, 0.0, None),
+        (10, 2, 1.0, math.nan),
+        (10, 2, 1.0, -0.5),
+        (10, 2, 1.0, math.inf),
+    ],
+)
+def test_from_summary_refuses_a_summary_no_sample_has(n, n0, mean, var):
+    with pytest.raises(EstimationError, match="inconsistent summary"):
+        FrequencySample.from_summary(n, n0, mean, var)
+
+
+@pytest.mark.parametrize(
+    "n, n0, mean, var",
+    [(10, 10, 0.0, 0.0), (10, 2, 0.8, 0.16), (3, 2, 1 / 3, None), (np.int64(5), np.int64(0), 1.0, 0.0)],
+)
+def test_from_summary_takes_the_summaries_of_real_samples(n, n0, mean, var):
+    s = FrequencySample.from_summary(n, n0, mean, var)
+    assert (s.n, s.n0, s.mean, s.var) == (n, n0, mean, var)
+
+
 def test_loglik_two_accumulations_agree(rng):
     # generic freq*log_pmf sum vs the structured (n, n0, mean) form
     for _ in range(20):
