@@ -20,7 +20,9 @@ from . import __version__
 from .dist import CountModel
 from .errors import CountFitError, EstimationError, InputFormatError
 from .estimate import FAMILY_TABLE, FitResult, FrequencySample, summarize
-from .gof import FAMILIES, GofResult, _cells, compare_models, expected_counts, gof_test
+from .gof import (
+    FAMILIES, GofResult, ModelEntry, _cells, _tested_fit, compare_models, expected_counts
+)
 from .sim import recovery_experiment, sample
 
 EXIT_OK = 0
@@ -156,17 +158,18 @@ def _write_json(doc: dict, out: str | None) -> None:
     _emit(json.dumps(doc, indent=2) + "\n", out)
 
 
-def _model_block(
-    family: str, fit: FitResult, gof: GofResult | None
-) -> dict:
+def _model_block(entry: ModelEntry) -> dict:
+    fit = entry.fit
+    if fit is None:
+        return {"family": entry.family, "error": entry.error}
     return {
-        "family": family,
-        "params": FAMILY_TABLE[family].params(fit.model),
+        "family": entry.family,
+        "params": FAMILY_TABLE[entry.family].params(fit.model),
         "loglik": fit.loglik,
         "aic": fit.aic,
         "n_params": fit.n_params,
         "solver": _solver_dict(fit),
-        "gof": _gof_dict(gof),
+        "gof": _gof_dict(entry.gof),
     }
 
 
@@ -174,21 +177,16 @@ def cmd_fit(args) -> int:
     s, digest = read_frequency_file(args.data)
     doc = _report_header(digest)
     doc["sample"] = _sample_dict(s)
-    try:
-        fit = FAMILY_TABLE[args.model].mle(s)
-    except CountFitError as exc:
-        doc["error"] = {"family": args.model, "message": str(exc)}
+    entry = _tested_fit(args.model, s, None, args.pool_threshold)
+    if entry.fit is None:
+        doc["error"] = {"family": args.model, "message": entry.error}
         _write_json(doc, args.out)
         return EXIT_ESTIMATOR
-    try:
-        gof = gof_test(fit.model, s, fit.n_params, args.pool_threshold)
-    except CountFitError:
-        gof = None
-    doc["model"] = _model_block(args.model, fit, gof)
+    doc["model"] = _model_block(entry)
     _write_json(doc, args.out)
     if not args.quiet and args.out:
         params = ", ".join(f"{k}={v:.4f}" for k, v in doc["model"]["params"].items())
-        print(f"{args.model}: {params}  aic={fit.aic:.4f}")
+        print(f"{args.model}: {params}  aic={entry.fit.aic:.4f}")
     return EXIT_OK
 
 
@@ -202,12 +200,7 @@ def cmd_compare(args) -> int:
         doc["error"] = {"message": str(exc)}
         _write_json(doc, args.out)
         return EXIT_ESTIMATOR
-    doc["models"] = [
-        _model_block(e.family, e.fit, e.gof)
-        if e.fit is not None
-        else {"family": e.family, "error": e.error}
-        for e in report.entries
-    ]
+    doc["models"] = [_model_block(e) for e in report.entries]
     doc["best_aic_model"] = report.best_aic_model
     doc["notes"] = list(report.notes)
     _write_json(doc, args.out)

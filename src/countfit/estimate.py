@@ -87,11 +87,13 @@ class FrequencySample:
         cls, n: int, n0: int, mean: float, var: float | None = None
     ) -> "FrequencySample":
         """A sample known only by its summary; refuses one no counts can give."""
-        # n - n0 nonzero counts sum to at least n - n0; with none, to 0
+        # n - n0 nonzero counts sum to n*mean, at least n - n0 (0 with none);
+        # their spread is least when all are equal, so var >= mean^2*n0/(n-n0)
         if not (all(isinstance(v, (int, np.integer)) for v in (n, n0))
                 and 1 <= n and 0 <= n0 <= n and math.isfinite(mean)
                 and mean >= (n - n0) / n and (n0 < n or mean == 0.0)
-                and (var is None or 0.0 <= var < math.inf)):
+                and (var is None or 0.0 <= var < math.inf
+                     and var * (n - n0) >= (1.0 - 1e-9) * n0 * mean * mean)):
             raise EstimationError(
                 f"inconsistent summary: n={n!r}, n0={n0!r}, mean={mean!r}, var={var!r}"
             )
@@ -160,7 +162,8 @@ def _summarize_rows(table: np.ndarray) -> tuple:
 def _from_map(data: Mapping[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Ascending counts and their nonzero frequencies from a count map."""
     try:
-        items = sorted((int(y), int(f)) for y, f in data.items() if f != 0)
+        # int() first, so that a frequency it turns into 0 is dropped too
+        items = sorted(yf for yf in ((int(y), int(f)) for y, f in data.items()) if yf[1])
         counts = np.array([y for y, _ in items], dtype=np.int64)
         freqs = np.array([f for _, f in items], dtype=np.int64)
     except OverflowError as exc:

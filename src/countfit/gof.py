@@ -285,6 +285,25 @@ def gof_test(
     return _gof(model, _cells(s), n_params, threshold)
 
 
+def _tested_fit(
+    family: str, s: FrequencySample, cells: _Cells | None, threshold: float
+) -> ModelEntry:
+    """Fit one family by its "mle" fitter, then test the fit, or give no GOF.
+
+    The test runs against ``cells``, else the sample's own; a CountFitError
+    from either gives no GOF, and a failed fit an entry holding its error.
+    """
+    try:
+        fit = FAMILY_TABLE[family].mle(s)
+    except CountFitError as exc:
+        return ModelEntry(family=family, fit=None, gof=None, error=str(exc))
+    try:
+        gof = _gof(fit.model, cells or _cells(s), fit.n_params, threshold)
+    except CountFitError:
+        gof = None
+    return ModelEntry(family=family, fit=fit, gof=gof)
+
+
 def compare_models(
     s: FrequencySample,
     families: list[str],
@@ -307,19 +326,7 @@ def compare_models(
         cells: _Cells | None = _cells(s)
     except CountFitError:
         cells = None
-    entries: list[ModelEntry] = []
-    for family in families:
-        try:
-            fit = FAMILY_TABLE[family].mle(s)
-            gof: GofResult | None = None
-            if cells is not None:
-                try:
-                    gof = _gof(fit.model, cells, fit.n_params, threshold)
-                except CountFitError:
-                    pass
-            entries.append(ModelEntry(family=family, fit=fit, gof=gof))
-        except CountFitError as exc:
-            entries.append(ModelEntry(family=family, fit=None, gof=None, error=str(exc)))
+    entries = [_tested_fit(family, s, cells, threshold) for family in families]
     fitted = [e for e in entries if e.fit is not None]
     if not fitted:
         raise EstimationError("every requested family failed to fit")

@@ -6,8 +6,8 @@ same counts on any platform. An NB sample is drawn by inverse CDF, one
 uniform per value looked up in a cumulative table of its pmf (exact up to
 the 1e-12 tail the table leaves out). The table is built once per model and
 sample size, and only where it passes the size rule of `summarize` against
-the values drawn; past it, and for the NB base of an inflated ZIG, each
-value is a Poisson draw of a gamma variate.
+the values drawn; past it each value is a Poisson draw of a gamma variate.
+An NB that is the base of an inflated ZIG is drawn the same way.
 
 Replicate i of a recovery experiment is
 ``sample(model, n, child_i)``, child_i being the i-th stream spawned from
@@ -116,40 +116,25 @@ def _poisson(rng: np.random.Generator, lam, n: int | None = None) -> np.ndarray:
 _LOG_U_FLOOR = math.log1p(-(1.0 - 2.0**-53))
 
 
-def _base_sampler(base: CountModel, n: int):
-    """rng -> n counts from a base model, each drawn by its own construction.
-
-    Poisson by numpy's Poisson, geometric by the closed-form inverse CDF, and
-    NB as a Poisson of a gamma variate.
-    """
-    if isinstance(base, Poisson):
-        return lambda rng: _poisson(rng, base.mean, n)
-    if isinstance(base, Geometric):
-        if base.p == 1.0:
-            return lambda rng: np.zeros(n, dtype=np.int64)
-        log_q = math.log1p(-base.p)
-        if _LOG_U_FLOOR / log_q >= 2.0**63:
-            raise CountFitError(
-                f"cannot sample a geometric p={base.p!r} this small: "
-                "its draws can exceed the int64 range"
-            )
-
-        def draw_geometric(rng: np.random.Generator) -> np.ndarray:
-            # inverse CDF: floor(ln(1-U) / ln(q)) has the number-of-failures law
-            return np.floor(np.log1p(-rng.random(n)) / log_q).astype(np.int64)
-
-        return draw_geometric
-    if isinstance(base, NegBinomial):
-        if base.p == 1.0:
-            return lambda rng: np.zeros(n, dtype=np.int64)
-        scale = (1.0 - base.p) / base.p
-        return lambda rng: _poisson(rng, rng.gamma(base.k, scale, n))
-    raise InvalidModelError(f"cannot sample base model {type(base).__name__}")
-
-
 def _table_sampler(cum: np.ndarray, n: int, start: int = 0):
     """rng -> n counts by inverse CDF: one uniform per value, looked up in ``cum``."""
     return lambda rng: start + np.searchsorted(cum, rng.random(n)).astype(np.int64)
+
+
+def _zero_mixed(pi: float, draw, n: int):
+    """rng -> n counts, each 0 with probability pi and else what ``draw`` gives.
+
+    The n uniforms that pick the zeros are drawn first; ``draw`` then runs
+    on the rest of the stream.
+    """
+
+    def draw_mixed(rng: np.random.Generator) -> np.ndarray:
+        at_zero = rng.random(n) < pi
+        draws = draw(rng)
+        draws[at_zero] = 0
+        return draws
+
+    return draw_mixed
 
 
 def _sampler(model: CountModel, n: int):
@@ -157,31 +142,35 @@ def _sampler(model: CountModel, n: int):
 
     Checks and inverse-CDF tables are made here, once per model and sample
     size, so that the replicates of an experiment share them. An NB with
-    p < 1 is drawn by inverse CDF from a table of its pmf, one uniform per
-    value, where the table passes the size rule of `summarize` against n;
-    past the rule (huge means, tiny k) it is drawn as a Poisson of a gamma
-    variate. Either way the choice depends on (model, n) alone, so
-    ``sample(model, n, seed)`` draws what a recovery replicate of n values
-    draws from the same stream. Deflated ZIGs and hurdles are drawn from a
-    table too; Poisson, geometric and inflated ZIG draws are not.
+    p < 1 is drawn from a table of its pmf where the table passes the size
+    rule of `summarize` against n, else as a Poisson of a gamma variate; the
+    choice depends on (model, n) alone, so ``sample(model, n, seed)`` draws
+    what a recovery replicate of n values draws from the same stream. An
+    inflated ZIG draws its base as that base alone is drawn; deflated ZIGs
+    and the positive part of hurdles are drawn from tables too.
     """
-    if isinstance(model, NegBinomial) and model.p < 1.0:
+    if isinstance(model, Poisson):
+        return lambda rng: _poisson(rng, model.mean, n)
+    if isinstance(model, (Geometric, NegBinomial)) and model.p == 1.0:
+        return lambda rng: np.zeros(n, dtype=np.int64)
+    if isinstance(model, Geometric):
+        log_q = math.log1p(-model.p)
+        if _LOG_U_FLOOR / log_q >= 2.0**63:
+            raise CountFitError(
+                f"cannot sample a geometric p={model.p!r} this small: "
+                "its draws can exceed the int64 range"
+            )
+        # inverse CDF: floor(ln(1-U) / ln(q)) has the number-of-failures law
+        return lambda rng: np.floor(np.log1p(-rng.random(n)) / log_q).astype(np.int64)
+    if isinstance(model, NegBinomial):
         cum = _inverse_cdf_table(lambda ys: np.exp(log_pmf_array(model, ys)), n=n)
         if cum is not None:
             return _table_sampler(cum, n)
-    if isinstance(model, (Poisson, Geometric, NegBinomial)):
-        return _base_sampler(model, n)
+        scale = (1.0 - model.p) / model.p
+        return lambda rng: _poisson(rng, rng.gamma(model.k, scale, n))
+    if isinstance(model, ZeroInflated) and model.pi >= 0.0:
+        return _zero_mixed(model.pi, _sampler(model.base, n), n)
     if isinstance(model, ZeroInflated):
-        if model.pi >= 0.0:
-            base = _base_sampler(model.base, n)
-
-            def draw_inflated(rng: np.random.Generator) -> np.ndarray:
-                is_extra_zero = rng.random(n) < model.pi
-                draws = base(rng)
-                draws[is_extra_zero] = 0
-                return draws
-
-            return draw_inflated
         # negative mixing weight: the mixture story breaks down, sample the
         # compound pmf directly by inverse CDF
         _check_table_length(model.base)
@@ -193,15 +182,7 @@ def _sampler(model: CountModel, n: int):
         cum = _inverse_cdf_table(
             lambda ys: np.exp(log_pmf_array(model.base, ys)) / (1.0 - p0), start=1
         )
-        positive = _table_sampler(cum, n, start=1)
-
-        def draw_hurdle(rng: np.random.Generator) -> np.ndarray:
-            at_zero = rng.random(n) < model.pi
-            draws = positive(rng)
-            draws[at_zero] = 0
-            return draws
-
-        return draw_hurdle
+        return _zero_mixed(model.pi, _table_sampler(cum, n, start=1), n)
     raise InvalidModelError(f"cannot sample model {type(model).__name__}")
 
 

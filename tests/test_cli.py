@@ -76,6 +76,13 @@ def test_rows_take_ascii_digits_only(row, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_csv_with_no_positive_frequency_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "zeros.csv"
+    path.write_text("count,frequency\n0,0\n3,0\n")
+    assert main(["fit", str(path), "--model", "geom"]) == 3
+    assert "no positive frequencies" in capsys.readouterr().err
+
+
 def test_parse_model_spec():
     m = parse_model_spec("zig:pi=0.3,p=0.4")
     assert isinstance(m, ZeroInflated)

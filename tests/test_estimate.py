@@ -68,6 +68,14 @@ def test_summarize_rejects_bad_input():
         summarize([-1, 2])
 
 
+def test_summarize_drops_map_frequencies_that_int_turns_into_zero():
+    s = summarize({3: 0.5, 1: 2})
+    assert s.counts.tolist() == [1] and s.freqs.tolist() == [2]
+    for data in ({0: 0.9}, {5: 0}):
+        with pytest.raises(EstimationError, match="empty sample"):
+            summarize(data)
+
+
 # raw values as summarize receives them: small and sparse huge counts,
 # bools and floats (int() truncates them)
 _raw_value = st.one_of(
@@ -169,6 +177,8 @@ def test_loglik_trivial():
         (10, 2, 1.0, math.nan),
         (10, 2, 1.0, -0.5),
         (10, 2, 1.0, math.inf),
+        (10, 2, 1.0, 0.0),  # eight counts summing to 10 have var >= 0.25
+        (10, 2, 1.0, 0.25 * (1.0 - 1e-8)),
     ],
 )
 def test_from_summary_refuses_a_summary_no_sample_has(n, n0, mean, var):
@@ -183,6 +193,26 @@ def test_from_summary_refuses_a_summary_no_sample_has(n, n0, mean, var):
 def test_from_summary_takes_the_summaries_of_real_samples(n, n0, mean, var):
     s = FrequencySample.from_summary(n, n0, mean, var)
     assert (s.n, s.n0, s.mean, s.var) == (n, n0, mean, var)
+
+
+def _zeros_then_equal(n0: int, n1: int, c: int) -> list[int]:
+    return [0] * n0 + [c] * n1
+
+
+# equal nonzero counts put the variance on the least value from_summary takes
+_summarized_values = st.one_of(
+    st.lists(st.one_of(st.integers(0, 40), st.integers(0, 2**62)), min_size=1, max_size=60),
+    st.builds(_zeros_then_equal, st.integers(0, 300), st.integers(1, 300), st.integers(1, 10**8)),
+    st.builds(_zeros_then_equal, st.integers(1, 300), st.integers(1, 300), st.integers(1, 2**62)),
+)
+
+
+@given(_summarized_values)
+@settings(max_examples=500)
+def test_from_summary_takes_every_summarized_sample(values):
+    s = summarize(values)
+    t = FrequencySample.from_summary(s.n, s.n0, s.mean, s.var)
+    assert (t.n, t.n0, t.mean, t.var) == (s.n, s.n0, s.mean, s.var)
 
 
 def test_loglik_two_accumulations_agree(rng):

@@ -2,9 +2,10 @@
 
 Every test here has a fixed seed and is deterministic. The chi-squared tests
 would each fail a correct sampler with probability ALPHA at a fresh seed;
-over the five NB cases that is a false-alarm budget of 5 * ALPHA = 0.5%.
+over the six NB cases that is a false-alarm budget of 6 * ALPHA = 0.6%.
 """
 
+import math
 import time
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from scipy import stats
 
 from countfit import sim
-from countfit.dist import NegBinomial, Poisson, log_pmf_array
+from countfit.dist import Geometric, NegBinomial, Poisson, ZeroInflated, log_pmf_array
 from countfit.sim import sample
 
 ALPHA = 1e-3
@@ -62,6 +63,31 @@ def test_nb_draws_match_the_scipy_pmf(m, k, seed):
     assert draws.dtype == np.int64 and draws.size == N and draws.min() >= 0
     p_value = _chi2_p_value(draws, lambda ys: stats.nbinom.pmf(ys, k, model.p), N)
     assert p_value > ALPHA
+
+
+def test_inflated_zig_over_an_nb_base_matches_the_scipy_pmf():
+    base, pi = _nb(2.8235, 0.4240), 0.3
+    draws = sample(ZeroInflated(pi=pi, base=base), N, 106)
+
+    def pmf(ys):
+        return pi * (ys == 0) + (1.0 - pi) * stats.nbinom.pmf(ys, base.k, base.p)
+
+    assert _chi2_p_value(draws, pmf, N) > ALPHA
+
+
+@pytest.mark.parametrize("base", [Poisson(mean=3.39), Geometric(p=0.4), Geometric(p=1.0)])
+def test_inflated_zig_draws_its_zeros_then_its_base(base):
+    n, pi, seed = 5000, 0.3, 29
+    rng = np.random.default_rng(seed)
+    at_zero = rng.random(n) < pi
+    if isinstance(base, Poisson):
+        expected = rng.poisson(base.mean, n)
+    elif base.p == 1.0:
+        expected = np.zeros(n, dtype=np.int64)
+    else:  # the inverse CDF floor(ln(1-U) / ln(1-p))
+        expected = np.floor(np.log1p(-rng.random(n)) / math.log1p(-base.p)).astype(np.int64)
+    expected[at_zero] = 0
+    assert np.array_equal(sample(ZeroInflated(pi=pi, base=base), n, seed), expected)
 
 
 @pytest.mark.parametrize("mean, n, seed", [(3.39, 1893, 323), (0.0, 10, 1), (1e6, 1000, 7)])

@@ -49,6 +49,7 @@ def test_more_values_than_the_cap_are_refused_before_drawing(monkeypatch):
 
 def test_sample_degenerate_models():
     assert np.all(sample(Geometric(p=1.0), 50, 1) == 0)
+    assert np.all(sample(NegBinomial(p=1.0, k=2.0), 50, 1) == 0)
     assert np.all(sample(Hurdle(pi=1.0, base=Geometric(p=0.5)), 100, 1) == 0)
 
 
