@@ -13,9 +13,11 @@ The CLI, `gof` and `sim` read it; adding a family is adding a record.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from types import MappingProxyType
 
 import numpy as np
@@ -112,8 +114,8 @@ def summarize(data: Iterable[int] | Mapping[int, int]) -> FrequencySample:
 
     Raw counts (a numpy array, list or any iterable) are tallied with
     ``np.bincount``, or by sorting when the largest count is large relative
-    to the number of values, so ingest is O(n) over the values and every
-    later operation is O(distinct counts).
+    to the number of values, and a map of ints is read with no Python per
+    entry; so ingest is O(n) and every later operation O(distinct counts).
     """
     if isinstance(data, Mapping):
         counts, freqs = _from_map(data)
@@ -129,7 +131,7 @@ def summarize(data: Iterable[int] | Mapping[int, int]) -> FrequencySample:
     freqs.flags.writeable = False
     ys, fs = counts.tolist(), freqs.tolist()
     n = sum(fs)
-    mean = sum(y * f for y, f in zip(ys, fs)) / n  # exact integer total
+    mean = sum(map(operator.mul, ys, fs)) / n  # exact integer total
     var = float(np.sum(_squared_deviations(counts, freqs, mean))) / n
     n0 = fs[0] if ys[0] == 0 else 0
     return FrequencySample(counts=counts, freqs=freqs, n=n, n0=n0, mean=mean, var=var)
@@ -160,16 +162,28 @@ def _summarize_rows(table: np.ndarray) -> tuple:
 
 
 def _from_map(data: Mapping[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending counts and their nonzero frequencies from a count map."""
+    """Ascending counts and their nonzero frequencies from a count map.
+
+    Keys and values numpy reads as flat int64 arrays are taken as they are;
+    any other map (floats, strs, ints past int64) goes through int() per entry.
+    """
     try:
-        # int() first, so that a frequency it turns into 0 is dropped too
-        items = sorted(yf for yf in ((int(y), int(f)) for y, f in data.items()) if yf[1])
-        counts = np.array([y for y, _ in items], dtype=np.int64)
-        freqs = np.array([f for _, f in items], dtype=np.int64)
-    except OverflowError as exc:
-        raise EstimationError("counts and frequencies must be below 2**63") from exc
-    except (TypeError, ValueError) as exc:
-        raise EstimationError(f"count map entries must be integers: {exc}") from exc
+        counts, freqs = np.array(list(data.keys())), np.array(list(data.values()))
+    except ValueError:  # ragged entries: int() below says what is wrong
+        counts = freqs = np.empty(0, dtype=object)
+    if not (counts.dtype == freqs.dtype == np.int64 and counts.ndim == freqs.ndim == 1):
+        try:
+            # int() first, so that a frequency it turns into 0 is dropped too
+            items = [(int(y), int(f)) for y, f in data.items()]
+            counts = np.array([y for y, f in items if f], dtype=np.int64)
+            freqs = np.array([f for _, f in items if f], dtype=np.int64)
+        except OverflowError as exc:
+            raise EstimationError("counts and frequencies must be below 2**63") from exc
+        except (TypeError, ValueError) as exc:
+            raise EstimationError(f"count map entries must be integers: {exc}") from exc
+    counts, freqs = counts[freqs != 0], freqs[freqs != 0]
+    order = np.argsort(counts)
+    counts, freqs = counts[order], freqs[order]
     if np.any(counts[1:] == counts[:-1]):
         raise EstimationError("count map has duplicate counts")
     return counts, freqs
@@ -193,8 +207,11 @@ def _values(data: Iterable[int]) -> np.ndarray:
 
 def _tally(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending distinct values and their frequencies."""
-    if values.size and values.min() >= 0 and _table_fits(values.max(), values.size):
-        table = np.bincount(values)
+    if values.size and _table_fits(values.max(), values.size):
+        try:
+            table = np.bincount(values)
+        except ValueError:  # a negative value
+            return np.unique(values, return_counts=True)
         counts = np.flatnonzero(table)
         return counts, table[counts]
     return np.unique(values, return_counts=True)
@@ -444,11 +461,9 @@ def mle_nb(s: FrequencySample) -> FitResult:
     n, m = s.n, s.mean
     score = _nb_profile_score(s.counts, s.freqs, n, m)
 
-    def row_score(rows: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
-        return tuple(np.array([v]) for v in score(float(k[0])))
-
     k, (lo, hi), g, evals, cap, floor = _solve_log_k(
-        row_score, np.array([_moments_shape(m, s.var)]), _libm(math.exp), _libm(math.log)
+        lambda rows, k: np.array([score(v) for v in k.tolist()]).T,
+        np.array([_moments_shape(m, s.var)]), _libm(math.exp), _libm(math.log),
     )
     k, g, evals = float(k[0]), float(g[0]), int(evals[0])
     notes: tuple[str, ...] = ()
@@ -470,7 +485,7 @@ def _libm(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _solve_log_k(score, k0: np.ndarray, exp, log) -> tuple:
-    """Safeguarded Newton in log k for NB shapes, every row in lockstep.
+    """Safeguarded Newton in log k for NB shapes, for any number of rows.
 
     The one statement of the NB solver's rules. ``score(rows, k)`` gives the
     profile score g (positive below the root) and g' for the numbered rows;
@@ -482,49 +497,61 @@ def _solve_log_k(score, k0: np.ndarray, exp, log) -> tuple:
     its sign. A step >= 1e-10 that leaves the bracket becomes a bisection (a
     smaller one may round onto an edge and stands), and the row ends,
     unevaluated, where its first step < 1e-10 lands (or after 100 steps).
-    Returns per row: k, the widened bracket (lo, hi), the last g, the evaluation
-    count, and the cap and floor flags. Near the Poisson limit g's terms cancel
-    to about 1/k of their size: for k >~ 1e6 the digits of k past about 1e-9
-    relative are roundoff. Each caller passes its own elementwise ``exp`` and
-    ``log``: numpy's SIMD ones can differ from libm's in the last bit, and the
-    recorded reports hold libm's bits for `mle_nb` and numpy's for the row fits.
+    Returns per row, as arrays: k, the widened bracket (lo, hi), the last g,
+    the evaluation count, and the cap and floor flags. Past k ~ 1e6, k is
+    roundoff beyond about 1e-9 relative (g's terms cancel). Row state is
+    Python floats, which round as numpy's do: a step is one ``score``, ``log``
+    and ``exp`` over the live rows. Each caller passes its own ``exp`` and
+    ``log``: numpy's SIMD ones can differ from libm's in the last bit, and
+    the reports hold libm's bits for `mle_nb` and numpy's for the row fits.
     """
-    lo = np.minimum(np.maximum(_BRACKET_FLOOR, k0 / 10.0), _BRACKET_CAP)
-    hi = np.maximum(np.minimum(_BRACKET_CAP, k0 * 10.0), _BRACKET_FLOOR)
-    g_lo, g_hi = (score(np.arange(k0.size), end)[0] for end in (lo, hi))
-    evals = np.full(k0.size, 2)
-    while (grow := np.flatnonzero((g_lo <= 0.0) & (lo > _BRACKET_FLOOR))).size:
-        hi[grow], g_hi[grow] = lo[grow], g_lo[grow]
-        lo[grow] = np.maximum(_BRACKET_FLOOR, lo[grow] / 10.0)
-        g_lo[grow] = score(grow, lo[grow])[0]
-        evals[grow] += 1
-    while (grow := np.flatnonzero((g_hi > 0.0) & (hi < _BRACKET_CAP))).size:
-        lo[grow], g_lo[grow] = hi[grow], g_hi[grow]
-        hi[grow] = np.minimum(_BRACKET_CAP, hi[grow] * 10.0)
-        g_hi[grow] = score(grow, hi[grow])[0]
-        evals[grow] += 1
-    cap = g_hi > 0.0
-    floor = ~cap & (g_lo <= 0.0)
-    k, g = np.where(cap, hi, lo), np.where(cap, g_hi, g_lo)
-    rows = np.flatnonzero(~cap & ~floor)
-    kr = np.where((lo < k0) & (k0 < hi), k0, np.sqrt(lo * hi))[rows]
-    t_lo, t_hi = log(lo[rows]), log(hi[rows])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(100):
-            if not rows.size:
-                break
-            gr, dg = score(rows, kr)
-            g[rows] = gr
-            evals[rows] += 1
-            t = log(kr)
-            t_lo, t_hi = np.where(gr > 0.0, t, t_lo), np.where(gr > 0.0, t_hi, t)
-            t_new = np.where(dg < 0.0, t - gr / (kr * dg), np.inf)
-            bisect = (np.abs(t_new - t) >= 1e-10) & ~((t_lo < t_new) & (t_new < t_hi))
-            t_new = np.where(bisect, 0.5 * (t_lo + t_hi), t_new)
-            k[rows] = kr = exp(t_new)
-            keep = ~(np.abs(t_new - t) < 1e-10)
-            rows, kr, t_lo, t_hi = rows[keep], kr[keep], t_lo[keep], t_hi[keep]
-    return k, (lo, hi), g, evals, cap, floor
+    k0 = k0.tolist()
+    every = range(len(k0))
+    lo = [min(max(_BRACKET_FLOOR, v / 10.0), _BRACKET_CAP) for v in k0]
+    hi = [max(min(_BRACKET_CAP, v * 10.0), _BRACKET_FLOOR) for v in k0]
+    def g_at(ends: list, rows) -> list:  # g at each row's end of the bracket
+        return score(np.array(rows, dtype=int), np.array([ends[i] for i in rows]))[0].tolist()
+    g_lo, g_hi, evals = g_at(lo, every), g_at(hi, every), [2] * len(k0)
+    while grow := [i for i in every if g_lo[i] <= 0.0 and lo[i] > _BRACKET_FLOOR]:
+        for i in grow:
+            hi[i], g_hi[i], lo[i] = lo[i], g_lo[i], max(_BRACKET_FLOOR, lo[i] / 10.0)
+        for i, v in zip(grow, g_at(lo, grow)):
+            g_lo[i], evals[i] = v, evals[i] + 1
+    while grow := [i for i in every if g_hi[i] > 0.0 and hi[i] < _BRACKET_CAP]:
+        for i in grow:
+            lo[i], g_lo[i], hi[i] = hi[i], g_hi[i], min(_BRACKET_CAP, hi[i] * 10.0)
+        for i, v in zip(grow, g_at(hi, grow)):
+            g_hi[i], evals[i] = v, evals[i] + 1
+    cap = [v > 0.0 for v in g_hi]
+    floor = [not c and v <= 0.0 for c, v in zip(cap, g_lo)]
+    k = [b if c else a for c, a, b in zip(cap, lo, hi)]
+    g = [b if c else a for c, a, b in zip(cap, g_lo, g_hi)]
+    rows = [i for i in every if not (cap[i] or floor[i])]
+    kr = [k0[i] if lo[i] < k0[i] < hi[i] else math.sqrt(lo[i] * hi[i]) for i in rows]
+    t_lo, t_hi = (log(np.array([end[i] for i in rows])).tolist() for end in (lo, hi))
+    for _ in range(100):
+        if not rows:
+            break
+        t = log(ka := np.array(kr)).tolist()
+        gr, dg = (v.tolist() for v in score(np.array(rows), ka))
+        t_lo = [b if v > 0.0 else a for a, b, v in zip(t_lo, t, gr)]
+        t_hi = [a if v > 0.0 else b for a, b, v in zip(t_hi, t, gr)]
+        t_new = [b - _divide(v, c * d) if d < 0.0 else math.inf
+                 for b, v, c, d in zip(t, gr, kr, dg)]
+        t_new = [0.5 * (a + b) if abs(c - d) >= 1e-10 and not a < c < b else c
+                 for a, b, c, d in zip(t_lo, t_hi, t_new, t)]
+        kr = exp(np.array(t_new)).tolist()
+        for i, a, b in zip(rows, gr, kr):
+            g[i], k[i], evals[i] = a, b, evals[i] + 1
+        if not all(keep := [not abs(c - d) < 1e-10 for c, d in zip(t_new, t)]):
+            rows, kr, t_lo, t_hi = (list(compress(x, keep)) for x in (rows, kr, t_lo, t_hi))
+    return (np.array(k), (np.array(lo), np.array(hi)), np.array(g), np.array(evals),
+            np.array(cap), np.array(floor))
+
+
+def _divide(a: float, b: float) -> float:
+    """a / b, giving numpy's +-inf or nan where b is +-0."""
+    return a / b if b else a * math.copysign(math.inf, b)
 
 
 def _nb_shape_rows(

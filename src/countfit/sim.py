@@ -118,7 +118,10 @@ _LOG_U_FLOOR = math.log1p(-(1.0 - 2.0**-53))
 
 def _table_sampler(cum: np.ndarray, n: int, start: int = 0):
     """rng -> n counts by inverse CDF: one uniform per value, looked up in ``cum``."""
-    return lambda rng: start + np.searchsorted(cum, rng.random(n)).astype(np.int64)
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        draws = np.searchsorted(cum, rng.random(n)).astype(np.int64, copy=False)
+        return np.add(draws, start, out=draws) if start else draws
+    return draw
 
 
 def _zero_mixed(pi: float, draw, n: int):

@@ -20,6 +20,8 @@ from countfit.errors import (
 )
 from countfit.estimate import (
     FrequencySample,
+    _from_map,
+    _tally,
     loglik,
     mle_geometric,
     mle_hg,
@@ -151,6 +153,94 @@ def test_summarize_arrays_are_read_only():
         s.counts[0] = 7
     with pytest.raises(TypeError):
         s.freq[0] = 7
+
+
+def _ref_from_map(data):
+    """`_from_map` as it stood with int() of every entry: the reference."""
+    try:
+        items = sorted(yf for yf in ((int(y), int(f)) for y, f in data.items()) if yf[1])
+        counts = np.array([y for y, _ in items], dtype=np.int64)
+        freqs = np.array([f for _, f in items], dtype=np.int64)
+    except OverflowError as exc:
+        raise EstimationError("counts and frequencies must be below 2**63") from exc
+    except (TypeError, ValueError) as exc:
+        raise EstimationError(f"count map entries must be integers: {exc}") from exc
+    if np.any(counts[1:] == counts[:-1]):
+        raise EstimationError("count map has duplicate counts")
+    return counts, freqs
+
+
+def _outcome(from_map, data):
+    """The arrays a map gives, or the type and message of what it raises."""
+    try:
+        counts, freqs = from_map(data)
+    except Exception as exc:  # compared with the reference, not handled
+        return type(exc), str(exc)
+    return counts.dtype, counts.tolist(), freqs.dtype, freqs.tolist()
+
+
+# int entries numpy reads as int64 (bools among them), and every kind that
+# must take the int() path: floats, strs, bools alone, numpy ints of other
+# widths, ints numpy keeps as uint64, float64 or object, tuples and lists
+_small_int = st.one_of(
+    st.integers(-3, 40), st.builds(np.int64, st.integers(-3, 40)), st.booleans()
+)
+_map_entry = st.one_of(
+    _small_int,
+    _small_int,
+    st.integers(2**63 - 2, 2**64 + 2),
+    st.integers(-(2**63) - 2, -(2**63) + 2),
+    st.builds(np.int32, st.integers(0, 40)),
+    st.builds(np.uint64, st.integers(0, 2**64 - 1)),
+    st.floats(-2.0, 2.0**64),
+    st.sampled_from([0.5, math.nan, math.inf, "3", "-2", "x", (1, 2), None]),
+)
+
+
+@given(st.one_of(
+    st.dictionaries(_small_int, _small_int, max_size=30),
+    st.dictionaries(_map_entry, _small_int, max_size=8),
+    st.dictionaries(_small_int, st.one_of(_map_entry, st.lists(_small_int, max_size=2)), max_size=8),
+))
+@settings(max_examples=500)
+def test_from_map_matches_int_of_every_entry(data):
+    assert _outcome(_from_map, data) == _outcome(_ref_from_map, data)
+
+
+@pytest.mark.parametrize("data", [
+    {3: 0.5}, {"3": 1}, {-1: 1, 2**63: 1}, {2**63: 1}, {2**64: 1}, {1: 2**63},
+    {2**63: 0, 1: 1}, {True: 2, 3: 1}, {True: 2}, {1: True}, {1.0: 2, 2.5: 1},
+    {1: 2, (1, 2): 1}, {1: np.array([1, 2])}, {np.int32(4): 1, 2: 3}, {},
+])
+def test_from_map_takes_int_of_every_entry_where_numpy_reads_no_int64(data):
+    assert _outcome(_from_map, data) == _outcome(_ref_from_map, data)
+
+
+def test_a_negative_value_goes_from_bincount_to_the_sort(monkeypatch):
+    bincount, refused = np.bincount, []
+
+    def counting_bincount(values, *args, **kwargs):
+        try:
+            return bincount(values, *args, **kwargs)
+        except ValueError:
+            refused.append(values.tolist())
+            raise
+
+    monkeypatch.setattr(np, "bincount", counting_bincount)
+    with pytest.raises(EstimationError, match="negative counts are not allowed"):
+        summarize([-3, 0, 5])
+    assert refused == [[-3, 0, 5]]
+    counts, freqs = _tally(np.array([4, -3, 4, 0]))
+    assert (counts.tolist(), freqs.tolist()) == ([-3, 0, 4], [1, 1, 2])
+
+
+def test_a_huge_sparse_count_never_reaches_bincount(monkeypatch):
+    def no_bincount(*args, **kwargs):
+        raise AssertionError("np.bincount called")
+
+    monkeypatch.setattr(np, "bincount", no_bincount)
+    s = summarize(np.array([0, 10**12]))
+    assert (s.counts.tolist(), s.freqs.tolist()) == ([0, 10**12], [1, 1])
 
 
 # --- loglik ----------------------------------------------------------------

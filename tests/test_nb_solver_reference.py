@@ -7,7 +7,10 @@ over their rules. `mle_nb` must give the same k, score evaluations,
 bracket, residual, boundary flag and notes, and `_nb_shape_rows` the same
 k for every row, bit for bit. A last test checks the driver's lockstep
 bookkeeping on a synthetic score: a row's result must not depend on the
-rows solved beside it.
+rows solved beside it. `_ref_solve_log_k` is the driver as it stood when it
+stepped every row in numpy arrays; the driver in Python floats must return
+the same arrays, also where a zero or NaN divisor makes numpy give inf or
+nan.
 """
 
 import math
@@ -140,6 +143,46 @@ def _ref_nb_shape_rows(table, n, m, var):
         )
         k[i] = _ref_mle_nb(s)[0]
     return k
+
+
+def _ref_solve_log_k(score, k0, exp, log):
+    """The driver with every row's state in numpy arrays, stepped in lockstep."""
+    lo = np.minimum(np.maximum(FLOOR, k0 / 10.0), CAP)
+    hi = np.maximum(np.minimum(CAP, k0 * 10.0), FLOOR)
+    g_lo, g_hi = (score(np.arange(k0.size), end)[0] for end in (lo, hi))
+    evals = np.full(k0.size, 2)
+    while (grow := np.flatnonzero((g_lo <= 0.0) & (lo > FLOOR))).size:
+        hi[grow], g_hi[grow] = lo[grow], g_lo[grow]
+        lo[grow] = np.maximum(FLOOR, lo[grow] / 10.0)
+        g_lo[grow] = score(grow, lo[grow])[0]
+        evals[grow] += 1
+    while (grow := np.flatnonzero((g_hi > 0.0) & (hi < CAP))).size:
+        lo[grow], g_lo[grow] = hi[grow], g_hi[grow]
+        hi[grow] = np.minimum(CAP, hi[grow] * 10.0)
+        g_hi[grow] = score(grow, hi[grow])[0]
+        evals[grow] += 1
+    cap = g_hi > 0.0
+    floor = ~cap & (g_lo <= 0.0)
+    k, g = np.where(cap, hi, lo), np.where(cap, g_hi, g_lo)
+    rows = np.flatnonzero(~cap & ~floor)
+    kr = np.where((lo < k0) & (k0 < hi), k0, np.sqrt(lo * hi))[rows]
+    t_lo, t_hi = log(lo[rows]), log(hi[rows])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            if not rows.size:
+                break
+            gr, dg = score(rows, kr)
+            g[rows] = gr
+            evals[rows] += 1
+            t = log(kr)
+            t_lo, t_hi = np.where(gr > 0.0, t, t_lo), np.where(gr > 0.0, t_hi, t)
+            t_new = np.where(dg < 0.0, t - gr / (kr * dg), np.inf)
+            bisect = (np.abs(t_new - t) >= 1e-10) & ~((t_lo < t_new) & (t_new < t_hi))
+            t_new = np.where(bisect, 0.5 * (t_lo + t_hi), t_new)
+            k[rows] = kr = exp(t_new)
+            keep = ~(np.abs(t_new - t) < 1e-10)
+            rows, kr, t_lo, t_hi = rows[keep], kr[keep], t_lo[keep], t_hi[keep]
+    return k, (lo, hi), g, evals, cap, floor
 
 
 def _phase(s) -> str:
@@ -291,19 +334,29 @@ SYNTHETIC_ROWS = [
 ]
 
 
-def _tanh_score(rows_spec):
-    """g(k) = tanh(a (log r - log k)) per row, one element at a time."""
+def _tanh(root, slope):
+    """g(k) = tanh(slope (log root - log k)) and its g'."""
+
+    def g(k):
+        v = math.tanh(slope * (math.log(root) - math.log(k)))
+        return v, -slope * (1.0 - v * v) / k
+
+    return g
+
+
+def _scores(rows_spec):
+    """score(rows, k) over rows of (g, start), one element at a time."""
 
     def score(rows, k):
-        g, dg = [], []
-        for i, x in zip(rows.tolist(), k.tolist()):
-            r, a, _ = rows_spec[i]
-            v = math.tanh(a * (math.log(r) - math.log(x)))
-            g.append(v)
-            dg.append(-a * (1.0 - v * v) / x)
-        return np.array(g), np.array(dg)
+        gs = [rows_spec[i][0](x) for i, x in zip(rows.tolist(), k.tolist())]
+        return np.array([g for g, _ in gs]), np.array([dg for _, dg in gs])
 
     return score
+
+
+def _tanh_score(rows_spec):
+    """The score of SYNTHETIC_ROWS-style (root, slope, start) rows."""
+    return _scores([(_tanh(root, a), start) for root, a, start in rows_spec])
 
 
 def _solve(rows_spec):
@@ -345,3 +398,69 @@ def test_each_row_solves_as_it_would_alone(picks):
     rows_spec = [SYNTHETIC_ROWS[i] for i in picks]
     alone = [_solve([spec])[0] for spec in rows_spec]
     assert _solve(rows_spec) == alone
+
+
+# rows whose g' is not a slope Newton can use, each (g, start): g = tanh(log
+# root - log k) with g' fixed at `below` under the root and `above` from it
+# on. At k < 0.5 the least subnormal g' makes k*g' underflow to -0.0, where
+# numpy's g / (k*g') is -inf or +inf by the sign of g (a bisection follows)
+# and nan where g is exactly 0 (the row then steps on nan to the 100th step);
+# a NaN g' gives no Newton step at all.
+TINY = -5e-324
+
+
+def _fixed_slope(root, below, above):
+    def g(k):
+        return math.tanh(math.log(root) - math.log(k)), below if k < root else above
+
+    return g
+
+
+ODD_ROWS = [
+    (_fixed_slope(1e-3, TINY, TINY), 0.2),  # k*g' = -0.0 on both sides of the root
+    (_fixed_slope(0.25, TINY, TINY), 0.25),  # g = 0 at the start: 0 / -0.0 is nan
+    (_fixed_slope(2e-3, TINY, math.nan), 1e-2),  # NaN g' above the root
+]
+ROWS = [(_tanh(root, slope), start) for root, slope, start in SYNTHETIC_ROWS] + ODD_ROWS
+
+
+EXP_LOG = [(_libm(math.exp), _libm(math.log)), (np.exp, np.log)]
+
+
+def _assert_same_as_lockstep(rows_spec, exp, log):
+    k0 = np.array([start for _, start in rows_spec])
+    got = _solve_log_k(_scores(rows_spec), k0, exp, log)
+    want = _ref_solve_log_k(_scores(rows_spec), k0.copy(), exp, log)
+    for a, b in zip(_flat(got), _flat(want)):
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
+def _flat(result):
+    k, (lo, hi), *rest = result
+    return [k, lo, hi, *rest]
+
+
+@pytest.mark.parametrize("exp, log", EXP_LOG)
+def test_the_odd_rows_take_the_zero_and_nan_divisor_paths(exp, log):
+    k, (lo, hi), g, evals, cap, floor = _solve_log_k(
+        _scores(ODD_ROWS), np.array([start for _, start in ODD_ROWS]), exp, log
+    )
+    assert not (cap.any() or floor.any())
+    assert k[0] == pytest.approx(1e-3, rel=1e-9) and k[2] == pytest.approx(2e-3, rel=1e-9)
+    assert math.isnan(k[1]) and math.isnan(g[1]) and evals[1] == 102
+    _assert_same_as_lockstep(ODD_ROWS, exp, log)
+
+
+@pytest.mark.parametrize("exp, log", EXP_LOG)
+def test_every_synthetic_batch_matches_the_lockstep_driver(exp, log):
+    _assert_same_as_lockstep([ROWS[i] for i in range(len(SYNTHETIC_ROWS))], exp, log)
+    _assert_same_as_lockstep(ROWS, exp, log)
+
+
+@given(
+    picks=st.lists(st.sampled_from(range(len(ROWS))), min_size=1, max_size=12),
+    use_libm=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_any_batch_of_synthetic_rows_matches_the_lockstep_driver(picks, use_libm):
+    _assert_same_as_lockstep([ROWS[i] for i in picks], *EXP_LOG[0 if use_libm else 1])
