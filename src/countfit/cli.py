@@ -102,8 +102,9 @@ def parse_model_spec(spec: str) -> CountModel:
         raise InputFormatError(
             f"model spec {spec!r} must give each of {', '.join(keys)} exactly once"
         )
-    if by_mean:
-        params["p"] = params["k"] / (params.pop("m") + params["k"])
+    if by_mean:  # m = -k gives no p: nan, which the family refuses like any bad p
+        m, k = params.pop("m"), params["k"]
+        params["p"] = k / (m + k) if m + k else math.nan
     return family.build(*(params[k] for k in family.names))
 
 

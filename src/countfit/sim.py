@@ -14,17 +14,21 @@ Replicate i of a recovery experiment is
 ``SeedSequence(seed)``: replicates are independent, and any one can be
 drawn again alone. The experiment tallies the replicates into one
 (replicates, L) frequency table as they are drawn, L being 1 + the largest
-count, and fits all rows at once with the row fitters of the true model's
-family in `estimate.FAMILY_TABLE`, which match its scalar fitters (closed
-forms bit for bit, the NB shape to roundoff). Past the size rule of
-`summarize` it fits replicate by replicate with the scalar fitters instead,
-so memory stays O(n + replicates*L).
+count: row i is ``np.bincount(sample(model, n, child_i))``, made from a
+table's n uniforms with one sort and at most T + 2 searches (T table cells)
+instead of n lookups. It fits all rows at once with the row fitters of the
+true model's family in `estimate.FAMILY_TABLE`, which match its scalar
+fitters (closed forms bit for bit, the NB shape to roundoff). Past the size
+rule of `summarize` it fits replicate by replicate with the scalar fitters
+instead, so memory stays O(n + replicates*L).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,32 +120,64 @@ def _poisson(rng: np.random.Generator, lam, n: int | None = None) -> np.ndarray:
 _LOG_U_FLOOR = math.log1p(-(1.0 - 2.0**-53))
 
 
-def _table_sampler(cum: np.ndarray, n: int, start: int = 0):
-    """rng -> n counts by inverse CDF: one uniform per value, looked up in ``cum``."""
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        draws = np.searchsorted(cum, rng.random(n)).astype(np.int64, copy=False)
-        return np.add(draws, start, out=draws) if start else draws
-    return draw
+class _Draw(NamedTuple):
+    """How n counts are drawn from one model, made once per (model, n).
 
-
-def _zero_mixed(pi: float, draw, n: int):
-    """rng -> n counts, each 0 with probability pi and else what ``draw`` gives.
-
-    The n uniforms that pick the zeros are drawn first; ``draw`` then runs
-    on the rest of the stream.
+    ``draw(rng)`` gives the n counts or, with ``edges``, n uniforms: count c
+    takes those in (edges[c], edges[c+1]]. A table from ``start`` on has the
+    edges [-inf, -1 (``start`` times), cum..., +inf], so -1 is a 0.
     """
 
-    def draw_mixed(rng: np.random.Generator) -> np.ndarray:
+    draw: Callable[[np.random.Generator], np.ndarray]
+    edges: np.ndarray | None = None
+
+    def values(self, rng: np.random.Generator) -> np.ndarray:
+        drawn = self.draw(rng)
+        if self.edges is None:
+            return drawn
+        cells = self.edges.searchsorted(drawn)  # one search per value
+        return np.subtract(cells, 1, out=cells)  # in place: n may be large
+
+    def row(self, rng: np.random.Generator) -> np.ndarray | None:
+        """``np.bincount`` of what ``values`` gives on the same stream.
+
+        Counts are checked first: None past the size rule of `summarize`.
+        Uniforms are sorted in place and the edges, up to the largest
+        uniform's, searched into them: one sort and at most L + 2 searches.
+        """
+        drawn = self.draw(rng)
+        if self.edges is None:
+            return np.bincount(drawn) if _table_fits(int(drawn.max()) + 1, drawn.size) else None
+        drawn.sort()
+        top = int(self.edges.searchsorted(drawn[-1])) - 1  # the largest count
+        below = drawn.searchsorted(self.edges[: top + 2], side="right")
+        return below[1:] - below[:-1]
+
+
+def _table_sampler(cum: np.ndarray, n: int, start: int = 0) -> _Draw:
+    """n counts from ``start`` on by inverse CDF: one uniform per value, looked up in ``cum``."""
+    edges = np.concatenate(([-np.inf], np.full(start, -1.0), cum, [np.inf]))
+    return _Draw(lambda rng: rng.random(n), edges)
+
+
+def _zero_mixed(pi: float, base: _Draw, n: int) -> _Draw:
+    """n counts, each 0 with probability pi and else what ``base`` gives.
+
+    The n uniforms that pick the zeros are drawn first; ``base`` then runs
+    on the rest of the stream. Over a table, a picked zero is a uniform of -1.
+    """
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
         at_zero = rng.random(n) < pi
-        draws = draw(rng)
-        draws[at_zero] = 0
-        return draws
+        drawn = base.draw(rng)
+        drawn[at_zero] = 0 if base.edges is None else -1.0
+        return drawn
 
-    return draw_mixed
+    return _Draw(draw, base.edges)
 
 
-def _sampler(model: CountModel, n: int):
-    """rng -> n counts from the model.
+def _sampler(model: CountModel, n: int) -> _Draw:
+    """How n counts are drawn from the model.
 
     Checks and inverse-CDF tables are made here, once per model and sample
     size, so that the replicates of an experiment share them. An NB with
@@ -153,9 +189,9 @@ def _sampler(model: CountModel, n: int):
     and the positive part of hurdles are drawn from tables too.
     """
     if isinstance(model, Poisson):
-        return lambda rng: _poisson(rng, model.mean, n)
+        return _Draw(lambda rng: _poisson(rng, model.mean, n))
     if isinstance(model, (Geometric, NegBinomial)) and model.p == 1.0:
-        return lambda rng: np.zeros(n, dtype=np.int64)
+        return _Draw(lambda rng: np.zeros(n, dtype=np.int64))
     if isinstance(model, Geometric):
         log_q = math.log1p(-model.p)
         if _LOG_U_FLOOR / log_q >= 2.0**63:
@@ -164,13 +200,13 @@ def _sampler(model: CountModel, n: int):
                 "its draws can exceed the int64 range"
             )
         # inverse CDF: floor(ln(1-U) / ln(q)) has the number-of-failures law
-        return lambda rng: np.floor(np.log1p(-rng.random(n)) / log_q).astype(np.int64)
+        return _Draw(lambda rng: np.floor(np.log1p(-rng.random(n)) / log_q).astype(np.int64))
     if isinstance(model, NegBinomial):
         cum = _inverse_cdf_table(lambda ys: np.exp(log_pmf_array(model, ys)), n=n)
         if cum is not None:
             return _table_sampler(cum, n)
         scale = (1.0 - model.p) / model.p
-        return lambda rng: _poisson(rng, rng.gamma(model.k, scale, n))
+        return _Draw(lambda rng: _poisson(rng, rng.gamma(model.k, scale, n)))
     if isinstance(model, ZeroInflated) and model.pi >= 0.0:
         return _zero_mixed(model.pi, _sampler(model.base, n), n)
     if isinstance(model, ZeroInflated):
@@ -190,20 +226,29 @@ def _sampler(model: CountModel, n: int):
 
 
 def _check_size(n: int, replicates: int = 1) -> None:
-    """Refuse a sample size below 1, or more than MAX_VALUES values in all."""
-    if n < 1:
-        raise CountFitError(f"sample size must be >= 1, got {n!r}")
-    if n * replicates > MAX_VALUES:
+    """Refuse a size or replicate count that is not an integer >= 1, or over MAX_VALUES values."""
+    for name, v in (("sample size", n), ("replicates", replicates)):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+            raise CountFitError(f"{name} must be an integer >= 1, got {v!r}")
+    if int(n) * int(replicates) > MAX_VALUES:
         raise CountFitError(
             f"{n * replicates} values asked for (n={n}, replicates={replicates}); "
             f"the cap is {MAX_VALUES}"
         )
 
 
+def _seeded(make, seed):
+    """``make(seed)``, with a seed that numpy refuses raised as a CountFitError."""
+    try:
+        return make(seed)
+    except (TypeError, ValueError) as exc:
+        raise CountFitError(f"seed must be a non-negative integer, got {seed!r}") from exc
+
+
 def sample(model: CountModel, n: int, seed) -> np.ndarray:
     """Draw n counts from the model, deterministically in the seed."""
     _check_size(n)
-    return _sampler(model, n)(np.random.default_rng(seed))
+    return _sampler(model, n).values(_seeded(np.random.default_rng, seed))
 
 
 @dataclass(frozen=True)
@@ -218,40 +263,39 @@ class RecoveryReport:
     solver_failures: int
 
 
-def _tally_replicates(draws, b: int, n: int) -> np.ndarray | None:
+def _tally_replicates(rows, b: int, n: int) -> np.ndarray | None:
     """The (b, L) frequency table of b replicates of n values, L = 1 + largest count.
 
-    Each replicate is tallied as it is drawn. None once the table would
-    break the size rule of `summarize` (b*L cells against b*n values), so
-    memory stays O(n + b*L).
+    ``rows`` yields each replicate's frequency row as it is drawn. None at a
+    None row or at one too wide for the size rule of `summarize` (b*L cells
+    against b*n values), so memory stays O(n + b*L).
     """
-    rows, width = [], 1
-    for values in draws:
-        width = max(width, int(values.max()) + 1)
-        if not _table_fits(b * width, b * n):
+    kept = []
+    for row in rows:
+        if row is None or not _table_fits(b * row.size, b * n):
             return None
-        rows.append(np.bincount(values))
-    table = np.zeros((b, width), dtype=np.int64)
-    for row, counts in zip(table, rows):
-        row[: counts.size] = counts
+        kept.append(row)
+    table = np.zeros((b, max(row.size for row in kept)), dtype=np.int64)
+    for out, row in zip(table, kept):
+        out[: row.size] = row
     return table
 
 
-def _fit_replicates(draws, b: int, n: int, family: Family) -> dict:
+def _fit_replicates(draw: _Draw, rngs, b: int, n: int, family: Family) -> dict:
     """method -> (parameter arrays by name, success mask) over b replicates of n values.
 
-    ``draws()`` yields the replicates afresh on each call. They are fitted
-    as the rows of one table by the family's row fitters, or one by one by
-    its scalar fitters where that table would be too large.
+    ``rngs()`` yields the replicates' generators afresh on each call. Their
+    rows are fitted as one table by the family's row fitters, or their
+    values one by one by its scalar fitters where that table is too large.
     """
-    table = _tally_replicates(draws(), b, n)
+    table = _tally_replicates(map(draw.row, rngs()), b, n)
     if table is not None:
         stats = _summarize_rows(table)
         fits = {meth: rows(table, *stats) for meth, (_, rows) in family.fits.items()}
     else:
         failed = (np.nan,) * family.n_params
         found: dict[str, list] = {meth: [] for meth in family.fits}
-        for values in draws():
+        for values in map(draw.values, rngs()):
             s = summarize(values)
             for meth, (fit_fn, _) in family.fits.items():
                 try:
@@ -285,24 +329,25 @@ def recovery_experiment(
     child_i being the i-th stream spawned from ``SeedSequence(seed)``, so
     results do not depend on how the replicates are fitted. Each replicate
     is tallied as it is drawn into one (replicates, L) frequency table, L
-    being 1 + the largest count, and every estimator then runs once over
-    all rows as array code, computing parameters only. The closed forms
-    match the scalar `mle_*` bit for bit, the NB shape agrees with `mle_nb`
-    to roundoff, and the rows that fail are those the scalar estimators
-    reject. Where the table would break the size rule of `summarize`
-    (replicates*L cells against replicates*n values), each replicate is
-    summarized and fitted by the scalar estimators instead, so memory stays
-    O(n + replicates*L). Estimator failures are counted, not raised.
+    being 1 + the largest count; row i is ``np.bincount(sample(true_model,
+    n, child_i))``, made from a table's n uniforms with one sort and at most
+    T + 2 searches (T table cells) in place of n lookups. Every estimator
+    then runs once over all rows as array code, computing parameters only.
+    The closed forms match the scalar `mle_*` bit for bit, the NB shape
+    agrees with `mle_nb` to roundoff, and the rows that fail are those the
+    scalar estimators reject. Where the table would break the size rule of
+    `summarize` (replicates*L cells against replicates*n values), each
+    replicate is summarized and fitted by the scalar estimators instead, so
+    memory stays O(n + replicates*L). Estimator failures are counted, not
+    raised.
     """
-    if replicates < 1:
-        raise CountFitError(f"replicates must be >= 1, got {replicates!r}")
+    _check_size(n, replicates)
     family = family_of(true_model)
     truth = family.params(true_model)
-    _check_size(n, replicates)
-    draw = _sampler(true_model, n)
-    children = np.random.SeedSequence(seed).spawn(replicates)
+    children = _seeded(np.random.SeedSequence, seed).spawn(replicates)
     fits = _fit_replicates(
-        lambda: (draw(np.random.default_rng(c)) for c in children),
+        _sampler(true_model, n),
+        lambda: map(np.random.default_rng, children),
         replicates,
         n,
         family,

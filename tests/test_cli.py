@@ -195,6 +195,13 @@ def test_simulate_huge_poisson_mean_is_an_estimator_error(capsys):
     assert "Poisson mean" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["nb:m=0,k=0", "nb:m=-1,k=1"])
+def test_nb_mean_spelling_with_no_p_is_an_estimator_error(spec, capsys):
+    # p = k/(m + k) has no value at m = -k; it once raised ZeroDivisionError
+    assert main(["simulate", "--model", spec, "--n", "10"]) == 4
+    assert "p must be in (0, 1]" in capsys.readouterr().err
+
+
 def test_compare_zig_hg_equal_aic(zig_fixture, tmp_path):
     out = tmp_path / "cmp.json"
     code = main(

@@ -47,6 +47,38 @@ def test_more_values_than_the_cap_are_refused_before_drawing(monkeypatch):
         recovery_experiment(model, 10**6, 10**4, 0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sample(Geometric(p=0.5), 10.5, 1), "sample size must be an integer"),
+        (lambda: sample(Geometric(p=0.5), True, 1), "sample size must be an integer"),
+        (lambda: sample(Geometric(p=0.5), 0, 1), "sample size must be an integer >= 1"),
+        (lambda: recovery_experiment(Geometric(p=0.5), 10, 2.5, 0), "replicates must be"),
+        (lambda: recovery_experiment(Geometric(p=0.5), 10, True, 0), "replicates must be"),
+        (lambda: recovery_experiment(Geometric(p=0.5), 10, "3", 0), "replicates must be"),
+        (lambda: sample(Geometric(p=0.5), 10, -1), "seed must be a non-negative integer"),
+        (lambda: sample(Geometric(p=0.5), 10, 2.5), "seed must be a non-negative integer"),
+        (lambda: recovery_experiment(Geometric(p=0.5), 10, 2, -1), "seed must be"),
+        (lambda: recovery_experiment(Geometric(p=0.5), 10, 2, np.int64(-3)), "seed must be"),
+    ],
+)
+def test_sizes_and_seeds_numpy_refuses_are_typed_refusals(call, message):
+    with pytest.raises(CountFitError, match=message):
+        call()
+
+
+def test_numpy_integers_and_seed_sequences_are_accepted():
+    model = NegBinomial(p=0.3, k=1.5)
+    child = np.random.SeedSequence(4).spawn(1)[0]
+    assert np.array_equal(sample(model, np.int64(50), np.int64(4)), sample(model, 50, 4))
+    assert np.array_equal(
+        sample(model, 50, child), sample(model, 50, np.random.SeedSequence(4).spawn(1)[0])
+    )
+    assert recovery_experiment(model, np.int32(50), np.int64(3), np.uint64(4)) == (
+        recovery_experiment(model, 50, 3, 4)
+    )
+
+
 def test_sample_degenerate_models():
     assert np.all(sample(Geometric(p=1.0), 50, 1) == 0)
     assert np.all(sample(NegBinomial(p=1.0, k=2.0), 50, 1) == 0)
@@ -261,6 +293,8 @@ def _scalar_recovery(model, n, reps, seed):
         (ZeroInflated(pi=0.9, base=Geometric(p=0.9)), 40),  # nonzero counts often all 1
         (Hurdle(pi=0.05, base=Geometric(p=0.95)), 20),
         (NegBinomial(p=0.5 / 1e9, k=0.5), 20),  # counts far past the table rule
+        (Hurdle(pi=0.6, base=Geometric(p=0.3)), 300),  # many zeros masked over the table
+        (Hurdle(pi=0.999, base=Geometric(p=0.5)), 5),  # all-zero replicates: empty base rows
     ],
 )
 def test_recovery_matches_per_replicate_scalar_fits(model, n):
@@ -327,7 +361,9 @@ def test_row_fits_match_scalar_fits(kinds, n, seed):
         n = _CAP_ROW.size
     rows = [_row(kind, n, rng).astype(np.int64) for kind in kinds]
     b = len(rows)
-    table = sim._tally_replicates(iter(rows), b, n)
+    # each replicate's index stands in for its generator
+    draw = sim._Draw(rows.__getitem__)
+    table = sim._tally_replicates(map(draw.row, range(b)), b, n)
     if "huge" in kinds:
         assert table is None
     samples = [summarize(values) for values in rows]
@@ -337,7 +373,7 @@ def test_row_fits_match_scalar_fits(kinds, n, seed):
             assert (n_rows, n0[i], mean[i]) == (s.n, s.n0, s.mean)
             assert var[i] == pytest.approx(s.var, rel=1e-12, abs=0.0)
     for family in FAMILY_TABLE.values():
-        fits = sim._fit_replicates(lambda: iter(rows), b, n, family)
+        fits = sim._fit_replicates(draw, lambda: range(b), b, n, family)
         for meth, (fit_fn, _) in family.fits.items():
             name = f"{family.name} {meth}"
             params, ok = fits[meth]
