@@ -9,17 +9,20 @@ sample size, and only where it passes the size rule of `summarize` against
 the values drawn; past it each value is a Poisson draw of a gamma variate.
 An NB that is the base of an inflated ZIG is drawn the same way.
 
-Replicate i of a recovery experiment is
-``sample(model, n, child_i)``, child_i being the i-th stream spawned from
-``SeedSequence(seed)``: replicates are independent, and any one can be
-drawn again alone. The experiment tallies the replicates into one
-(replicates, L) frequency table as they are drawn, L being 1 + the largest
-count: row i is ``np.bincount(sample(model, n, child_i))``, made from a
-table's n uniforms with one sort and at most T + 2 searches (T table cells)
-instead of n lookups. It fits all rows at once with the row fitters of the
-true model's family in `estimate.FAMILY_TABLE`, which match its scalar
-fitters (closed forms bit for bit, the NB shape to roundoff). Past the size
-rule of `summarize` it fits replicate by replicate with the scalar fitters
+Replicate i of a recovery experiment is ``sample(model, n, child_i)``,
+child_i being the i-th stream spawned from ``SeedSequence(seed)``:
+replicates are independent, and any one can be drawn again alone. The
+children's PCG64 seed words, equal to ``spawn``'s, are hashed once for all
+replicates as arrays; a generator made from its row of 4 words costs about
+a sixth of a spawned child's ``default_rng``. The experiment tallies the
+replicates into one (replicates, L) frequency table as they are drawn, L
+being 1 + the largest count: row i is
+``np.bincount(sample(model, n, child_i))``, made from a table's n uniforms
+with one sort and at most T + 2 searches (T table cells) instead of n
+lookups. It fits all rows at once with the row fitters of the true model's
+family in `estimate.FAMILY_TABLE`, which match its scalar fitters (closed
+forms bit for bit, the NB shape to roundoff). Past the size rule of
+`summarize` it fits replicate by replicate with the scalar fitters
 instead, so memory stays O(n + replicates*L).
 """
 
@@ -238,11 +241,62 @@ def _check_size(n: int, replicates: int = 1) -> None:
 
 
 def _seeded(make, seed):
-    """``make(seed)``, with a seed that numpy refuses raised as a CountFitError."""
+    """``make(seed)``, with a bool or a seed that numpy refuses raised as a CountFitError."""
     try:
+        if isinstance(seed, (bool, np.bool_)):
+            raise TypeError("a bool is not a seed")
         return make(seed)
     except (TypeError, ValueError) as exc:
         raise CountFitError(f"seed must be a non-negative integer, got {seed!r}") from exc
+
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715  # its mix of a hash into a pool word
+
+
+def _hash(values: np.ndarray, init: int, mult: int, first: int, k: int) -> np.ndarray:
+    """SeedSequence's hashes ``first`` to ``first + k - 1`` of uint32 values held as uint64."""
+    consts = [init * pow(mult, j, 1 << 32) & _MASK32 for j in range(first, first + k + 1)]
+    consts = np.array(consts, dtype=np.uint64)
+    values = (values ^ consts[:-1]) * consts[1:] & _MASK32
+    return values ^ values >> 16
+
+
+def _child_seed_words(parent: np.random.SeedSequence, b: int) -> np.ndarray:
+    """(b, 4) uint64: row i is ``parent.spawn(b)[i].generate_state(4, np.uint64)``.
+
+    ``parent`` is a fresh ``SeedSequence(seed)``. A child's entropy is the
+    seed's words padded with zeros to the pool size, then the child's index.
+    The common words mix to the parent's own pool (its fill hashes a missing
+    word as a 0), and hash constants depend only on a word's place: so only
+    the index word and the 8 output words are hashed here, for all b
+    children at once.
+    """
+    # here, not at module level: importing countfit leaves numpy.random unloaded
+    from numpy.random.bit_generator import ISeedSequence, _coerce_to_uint32_array
+    ISeedSequence.register(_SeedWords)
+    size = parent.pool_size
+    common = max(len(_coerce_to_uint32_array(parent.entropy)), size)
+    index = np.arange(b, dtype=np.uint64)[:, None]
+    hashed = _hash(index, _INIT_A, _MULT_A, size * common, size)  # size per common word
+    pool = (_MIX_L * parent.pool.astype(np.uint64) - _MIX_R * hashed) & _MASK32
+    pool ^= pool >> 16
+    state = _hash(pool[:, np.arange(8) % size], _INIT_B, _MULT_B, 0, 8)
+    # little-endian pairs, as generate_state gives them; C order for PCG64
+    return np.ascontiguousarray(state[:, 0::2] | state[:, 1::2] << 32)
+
+
+class _SeedWords:
+    """``PCG64(_SeedWords(row))`` is seeded by ``row``; an ISeedSequence once registered."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words  # PCG64 asks for its 4 uint64 words
 
 
 def sample(model: CountModel, n: int, seed) -> np.ndarray:
@@ -327,7 +381,10 @@ def recovery_experiment(
 
     Replicate i draws n counts with ``sample(true_model, n, child_i)``,
     child_i being the i-th stream spawned from ``SeedSequence(seed)``, so
-    results do not depend on how the replicates are fitted. Each replicate
+    results do not depend on how the replicates are fitted. The children's
+    seed words, ``spawn``'s bit for bit, are hashed for all replicates in one
+    array pass; a generator made from its row (and remade for the scalar
+    fallback) costs about a sixth of ``default_rng(child_i)``. Each replicate
     is tallied as it is drawn into one (replicates, L) frequency table, L
     being 1 + the largest count; row i is ``np.bincount(sample(true_model,
     n, child_i))``, made from a table's n uniforms with one sort and at most
@@ -344,10 +401,10 @@ def recovery_experiment(
     _check_size(n, replicates)
     family = family_of(true_model)
     truth = family.params(true_model)
-    children = _seeded(np.random.SeedSequence, seed).spawn(replicates)
+    words = _child_seed_words(_seeded(np.random.SeedSequence, seed), replicates)
     fits = _fit_replicates(
         _sampler(true_model, n),
-        lambda: map(np.random.default_rng, children),
+        lambda: (np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words),
         replicates,
         n,
         family,

@@ -60,6 +60,8 @@ def test_more_values_than_the_cap_are_refused_before_drawing(monkeypatch):
         (lambda: sample(Geometric(p=0.5), 10, 2.5), "seed must be a non-negative integer"),
         (lambda: recovery_experiment(Geometric(p=0.5), 10, 2, -1), "seed must be"),
         (lambda: recovery_experiment(Geometric(p=0.5), 10, 2, np.int64(-3)), "seed must be"),
+        (lambda: sample(Geometric(p=0.5), 5, True), "seed must be a non-negative integer"),
+        (lambda: recovery_experiment(Geometric(p=0.5), 20, 3, True), "seed must be"),
     ],
 )
 def test_sizes_and_seeds_numpy_refuses_are_typed_refusals(call, message):
@@ -297,8 +299,9 @@ def _scalar_recovery(model, n, reps, seed):
         (Hurdle(pi=0.999, base=Geometric(p=0.5)), 5),  # all-zero replicates: empty base rows
     ],
 )
-def test_recovery_matches_per_replicate_scalar_fits(model, n):
-    reps, seed = 30, 13
+@pytest.mark.parametrize("seed", [13, 2**64 + 1, [1, 2]])
+def test_recovery_matches_per_replicate_scalar_fits(model, n, seed):
+    reps = 30
     report = recovery_experiment(model, n, reps, seed)
     fits = _scalar_recovery(model, n, reps, seed)
     failures = sum(f is None for per in fits.values() for f in per)
@@ -313,6 +316,26 @@ def test_recovery_matches_per_replicate_scalar_fits(model, n):
             assert report.estimates[meth][k] == pytest.approx(np.mean(values), rel=1e-9)
             errors = [abs(v - truth) for v in values]
             assert report.abs_error[meth][k] == pytest.approx(np.mean(errors), rel=1e-9)
+
+
+_SEEDS = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 1, [1, 2**40]]),
+    st.integers(0, 2**200),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.lists(st.integers(0, 2**70), max_size=6),
+)
+
+
+@given(seed=_SEEDS, b=st.integers(1, 300))
+@settings(max_examples=150, deadline=None)
+def test_batched_child_seed_words_are_the_spawned_childrens(seed, b):
+    words = sim._child_seed_words(np.random.SeedSequence(seed), b)
+    children = np.random.SeedSequence(seed).spawn(b)
+    assert words.shape == (b, 4)
+    for row, child in zip(words, children):
+        assert (row == child.generate_state(4, np.uint64)).all()
+        rng = np.random.Generator(np.random.PCG64(sim._SeedWords(row)))
+        assert (rng.random(8) == np.random.default_rng(child).random(8)).all()
 
 
 # --- batched row fits against the scalar estimators -----------------------
