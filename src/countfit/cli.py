@@ -10,6 +10,7 @@ come from `estimate.FAMILY_TABLE`.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -19,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .dist import CountModel
 from .errors import CountFitError, EstimationError, InputFormatError
-from .estimate import FAMILY_TABLE, FitResult, FrequencySample, summarize
+from .estimate import FAMILY_TABLE, FrequencySample, summarize
 from .gof import (
     FAMILIES, GofResult, ModelEntry, _cells, _tested_fit, compare_models, expected_counts
 )
@@ -54,7 +55,7 @@ def read_frequency_file(path: str) -> tuple[FrequencySample, str]:
     ]
     for i, line in enumerate(rows):
         parts = [c.strip() for c in line.split(",")]
-        if i == 0 and parts[:2] == ["count", "frequency"]:
+        if i == 0 and parts == ["count", "frequency"]:
             continue
         if len(parts) != 2:
             raise InputFormatError(f"{path}: malformed row {line!r}")
@@ -108,18 +109,6 @@ def parse_model_spec(spec: str) -> CountModel:
     return family.build(*(params[k] for k in family.names))
 
 
-def _solver_dict(fit: FitResult) -> dict:
-    info = fit.solver
-    return {
-        "method": info.method,
-        "iterations": info.iterations,
-        "bracket": list(info.bracket) if info.bracket else None,
-        "residual": info.residual,
-        "boundary": info.boundary,
-        "notes": list(info.notes),
-    }
-
-
 def _gof_dict(gof: GofResult | None) -> dict | None:
     if gof is None:
         return None
@@ -128,22 +117,7 @@ def _gof_dict(gof: GofResult | None) -> dict | None:
         "df": gof.df,
         "p_value": gof.p_value,
         "pooling_threshold": gof.pooling_threshold,
-        "bins": [
-            {"label": b.label, "observed": b.observed, "expected": b.expected}
-            for b in gof.bins
-        ],
-    }
-
-
-def _sample_dict(s: FrequencySample) -> dict:
-    return {"n": s.n, "n0": s.n0, "mean": s.mean, "var": s.var}
-
-
-def _report_header(digest: str) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "input_sha256": digest,
+        "bins": [b._asdict() for b in gof.bins],
     }
 
 
@@ -169,15 +143,25 @@ def _model_block(entry: ModelEntry) -> dict:
         "loglik": fit.loglik,
         "aic": fit.aic,
         "n_params": fit.n_params,
-        "solver": _solver_dict(fit),
+        "solver": dataclasses.asdict(fit.solver),
         "gof": _gof_dict(entry.gof),
     }
 
 
+def _report(**blocks) -> dict:
+    """A JSON report: the schema and tool versions, then the given blocks in order."""
+    return {"schema_version": SCHEMA_VERSION, "tool_version": __version__, **blocks}
+
+
+def _begin_report(path: str) -> tuple[FrequencySample, dict]:
+    """The sample of a frequency CSV, and a report begun with its digest and summary."""
+    s, digest = read_frequency_file(path)
+    summary = {"n": s.n, "n0": s.n0, "mean": s.mean, "var": s.var}
+    return s, _report(input_sha256=digest, sample=summary)
+
+
 def cmd_fit(args) -> int:
-    s, digest = read_frequency_file(args.data)
-    doc = _report_header(digest)
-    doc["sample"] = _sample_dict(s)
+    s, doc = _begin_report(args.data)
     entry = _tested_fit(args.model, s, None, args.pool_threshold)
     if entry.fit is None:
         doc["error"] = {"family": args.model, "message": entry.error}
@@ -192,9 +176,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    s, digest = read_frequency_file(args.data)
-    doc = _report_header(digest)
-    doc["sample"] = _sample_dict(s)
+    s, doc = _begin_report(args.data)
     try:
         report = compare_models(s, args.models, args.pool_threshold)
     except EstimationError as exc:
@@ -239,18 +221,9 @@ def cmd_simulate(args) -> int:
 def cmd_recover(args) -> int:
     model = parse_model_spec(args.model)
     report = recovery_experiment(model, args.n, args.reps, args.seed)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "true_model": {"spec": args.model, "params": report.true_params},
-        "n": report.n,
-        "replicates": report.replicates,
-        "seed": report.seed,
-        "estimates": report.estimates,
-        "abs_error": report.abs_error,
-        "solver_failures": report.solver_failures,
-    }
-    _write_json(doc, args.out)
+    body = dataclasses.asdict(report)
+    body["true_model"] = {"spec": args.model, "params": body.pop("true_params")}
+    _write_json(_report(**body), args.out)
     return EXIT_OK
 
 

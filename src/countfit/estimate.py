@@ -218,7 +218,7 @@ def _tally(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class SolverInfo:
+class SolverInfo:  # field order is the order of a report's "solver" keys
     method: str  # "closed-form", "newton-bisection" or "moments"
     iterations: int = 0
     bracket: tuple[float, float] | None = None

@@ -306,7 +306,7 @@ def sample(model: CountModel, n: int, seed) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RecoveryReport:
+class RecoveryReport:  # field order is the order of the `recover` report's keys
     true_model: CountModel
     n: int
     replicates: int
@@ -381,22 +381,11 @@ def recovery_experiment(
 
     Replicate i draws n counts with ``sample(true_model, n, child_i)``,
     child_i being the i-th stream spawned from ``SeedSequence(seed)``, so
-    results do not depend on how the replicates are fitted. The children's
-    seed words, ``spawn``'s bit for bit, are hashed for all replicates in one
-    array pass; a generator made from its row (and remade for the scalar
-    fallback) costs about a sixth of ``default_rng(child_i)``. Each replicate
-    is tallied as it is drawn into one (replicates, L) frequency table, L
-    being 1 + the largest count; row i is ``np.bincount(sample(true_model,
-    n, child_i))``, made from a table's n uniforms with one sort and at most
-    T + 2 searches (T table cells) in place of n lookups. Every estimator
-    then runs once over all rows as array code, computing parameters only.
-    The closed forms match the scalar `mle_*` bit for bit, the NB shape
-    agrees with `mle_nb` to roundoff, and the rows that fail are those the
-    scalar estimators reject. Where the table would break the size rule of
-    `summarize` (replicates*L cells against replicates*n values), each
-    replicate is summarized and fitted by the scalar estimators instead, so
-    memory stays O(n + replicates*L). Estimator failures are counted, not
-    raised.
+    the results do not depend on how the replicates are fitted (the module
+    docstring says how). The report gives, for each estimator of the true
+    model's family, the mean estimates and mean absolute errors over the
+    replicates it fitted; ``solver_failures`` counts the failed fits of all
+    estimators, which are not raised.
     """
     _check_size(n, replicates)
     family = family_of(true_model)

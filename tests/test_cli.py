@@ -67,13 +67,24 @@ def test_read_frequency_file_rejects_disorder(tmp_path):
         ("4.0,5", "non-integer row"),
         ("-4,5", "negative value in row"),
         ("4,-5", "negative value in row"),
+        # past Python's 4,300-digit limit int() raises ValueError
+        pytest.param("1" + "0" * 4999 + ",5", "non-integer row", id="5000-digit-count"),
     ],
 )
 def test_rows_take_ascii_digits_only(row, message, tmp_path, capsys):
     path = tmp_path / "digits.csv"
     path.write_text(f"count,frequency\n0,3\n{row}\n", encoding="utf-8")
     assert main(["fit", str(path), "--model", "geom"]) == 3
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_a_header_with_extra_columns_is_a_malformed_row(tmp_path, capsys):
+    # only the exact header row is skipped
+    path = tmp_path / "weighted.csv"
+    path.write_text("count,frequency,weight\n0,3\n1,2\n")
+    assert main(["fit", str(path), "--model", "geom"]) == 3
+    assert "malformed row 'count,frequency,weight'" in capsys.readouterr().err
 
 
 def test_csv_with_no_positive_frequency_is_a_parse_error(tmp_path, capsys):
@@ -120,6 +131,7 @@ def test_fit_parse_error_exit_code(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("count,frequency\nnope\n")
     assert main(["fit", str(path), "--model", "zig"]) == 3
+    assert main(["fit", str(tmp_path / "absent.csv"), "--model", "zig"]) == 3
 
 
 def test_non_utf8_csv_is_a_parse_error(tmp_path, capsys):
@@ -308,6 +320,13 @@ def test_simulate_csv_matches_counter_histogram(spec, tmp_path):
     hist = collections.Counter(int(c) for c in sample(parse_model_spec(spec), 20000, 7))
     lines = ["count,frequency"] + [f"{y},{hist[y]}" for y in sorted(hist)]
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_compare_out_without_quiet_prints_the_best_family(zig_fixture, tmp_path, capsys):
+    out = tmp_path / "cmp.json"
+    assert main(["compare", zig_fixture, "--models", "geom", "zig", "--out", str(out)]) == 0
+    best = json.loads(out.read_text())["best_aic_model"]
+    assert capsys.readouterr().out == f"best by AIC: {best}\n"
 
 
 def test_outputs_byte_identical(zig_fixture, tmp_path):

@@ -68,6 +68,12 @@ def test_summarize_rejects_bad_input():
         summarize([])
     with pytest.raises(EstimationError):
         summarize([-1, 2])
+    with pytest.raises(EstimationError, match="negative frequencies"):
+        summarize({1: -2})
+    with pytest.raises(EstimationError, match="counts must be a flat sequence"):
+        summarize([[1, 2], [3, 4]])
+    with pytest.raises(EstimationError, match="counts must be integers"):
+        summarize(["a"])
 
 
 def test_summarize_drops_map_frequencies_that_int_turns_into_zero():
@@ -504,6 +510,21 @@ def test_mle_poisson():
     assert fit.model.mean == pytest.approx(s.mean)
     assert math.isfinite(fit.loglik)
     assert mle_poisson(summarize({0: 4})).model.mean == 0.0
+    # a summary gives the Poisson log-likelihood only where every count is 0
+    assert mle_poisson(FrequencySample.from_summary(4, 4, 0.0)).loglik == 0.0
+
+
+@pytest.mark.parametrize(
+    "fitter, s, message",
+    [
+        (mle_poisson, FrequencySample.from_summary(100, 30, 2.0, var=4.0), "full histogram"),
+        (mom_nb, FrequencySample.from_summary(100, 30, 2.0), "requires the sample variance"),
+        (mle_nb, FrequencySample.from_summary(100, 30, 2.0, var=4.0), "full frequency table"),
+    ],
+)
+def test_a_fitter_refuses_a_summary_that_lacks_what_it_needs(fitter, s, message):
+    with pytest.raises(EstimationError, match=message):
+        fitter(s)
 
 
 # --- NB estimators ---------------------------------------------------------

@@ -15,8 +15,9 @@ from countfit.errors import (
     CountFitError,
     DegenerateBinningError,
     EstimationError,
+    InvalidModelError,
 )
-from countfit.estimate import aic, mle_hg, mle_zig, summarize
+from countfit.estimate import FrequencySample, aic, mle_hg, mle_zig, summarize
 from countfit.gof import (
     FAMILIES,
     Bin,
@@ -38,6 +39,11 @@ def test_expected_counts_geometric():
 
 def test_expected_counts_zero_n():
     assert expected_counts(Geometric(p=0.5), 0, 3) == pytest.approx([0.0] * 5)
+
+
+def test_expected_counts_needs_a_cell_past_zero():
+    with pytest.raises(InvalidModelError, match="max_count must be >= 1"):
+        expected_counts(Geometric(p=0.5), 10, 0)
 
 
 def test_expected_counts_zig_reference_zero_cell():
@@ -212,6 +218,14 @@ def test_compare_models_empty_and_all_failed():
         compare_models(s, [])
     with pytest.raises(EstimationError):
         compare_models(s, ["nb"])
+    with pytest.raises(CountFitError, match=r"unknown families: \['bogus'\]"):
+        compare_models(s, ["nb", "bogus"])
+
+
+def test_gof_of_a_summary_sample_is_refused():
+    s = FrequencySample.from_summary(100, 30, 2.0, var=4.0)
+    with pytest.raises(EstimationError, match="requires the full frequency table"):
+        gof_test(Geometric(p=0.5), s, 1)
 
 
 def test_pooling_preserves_statistic_for_proportional_cells():

@@ -1,5 +1,8 @@
 """The library runs without scipy: neither importing it nor any CLI command loads it.
 
+Nor does importing it, `compare`, `fit` or `figure` load numpy.random; only
+`simulate` and `recover`, which draw, do.
+
 Tests and the benchmark oracles still use scipy.stats, and are independent
 of the code under test only because the library never calls it.
 """
@@ -19,6 +22,8 @@ import countfit
 from countfit.cli import main
 
 assert "scipy" not in sys.modules, "import countfit"
+# numpy.random (about 17 ms to load) is imported only where a command draws
+assert "numpy.random" not in sys.modules, "import countfit"
 gapped, huge, out = sys.argv[1:]
 families = ["nb", "zig", "hg", "geom", "poisson"]
 runs = [
@@ -34,6 +39,8 @@ for argv in runs:
     code = main([*argv, "--out", out, "--quiet"])
     assert code == 0, (argv, code)
     assert "scipy" not in sys.modules, argv
+    if argv[0] in ("compare", "fit", "figure"):
+        assert "numpy.random" not in sys.modules, argv
 print("ok")
 """
 

@@ -264,6 +264,11 @@ def test_recovery_tiny_geometric_p_is_a_typed_error():
             recovery_experiment(Geometric(p=1e-300), n=5, replicates=3, seed=0)
 
 
+def test_recovery_of_a_compound_over_a_non_geometric_base_is_refused():
+    with pytest.raises(CountFitError, match="geometric-based compounds only"):
+        recovery_experiment(ZeroInflated(pi=0.3, base=Poisson(mean=2.0)), 20, 2, 0)
+
+
 def _scalar_recovery(model, n, reps, seed):
     """Per-replicate public calls: sample each spawned child, summarize, fit."""
     fitters = {
