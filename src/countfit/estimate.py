@@ -3,7 +3,8 @@
 Zero-inflated geometric, hurdle geometric, geometric and Poisson fits are
 closed-form. The negative binomial shape is the unique root of its
 finite-sum profile score (Bliss & Fisher 1953); one solver, `_solve_log_k`
-(safeguarded Newton in log k), finds it for the scalar and the row fits.
+(safeguarded Newton in log k), finds it for the scalar and the row fits. Its
+contract is Python floats; only the row fit, which scores arrays, converts.
 
 `FAMILY_TABLE` defines each fitted family in one place: its parameter
 names, how to build and read its models, and its scalar and row fitters.
@@ -461,35 +462,29 @@ def mle_nb(s: FrequencySample) -> FitResult:
     n, m = s.n, s.mean
     score = _nb_profile_score(s.counts, s.freqs, n, m)
 
-    k, (lo, hi), g, evals, cap, floor = _solve_log_k(
-        lambda rows, k: np.array([score(v) for v in k.tolist()]).T,
-        np.array([_moments_shape(m, s.var)]), _libm(math.exp), _libm(math.log),
+    [(k, bracket, g, evals, cap, floor)] = _solve_log_k(
+        lambda rows, ks: list(zip(*map(score, ks))), [_moments_shape(m, s.var)],
+        lambda x: list(map(math.exp, x)), lambda x: list(map(math.log, x)),
     )
-    k, g, evals = float(k[0]), float(g[0]), int(evals[0])
     notes: tuple[str, ...] = ()
-    if cap[0]:
+    if cap:
         notes = (f"Poisson limit: the NB score is still positive at the cap k={k:.0e}",)
-    elif floor[0]:
+    elif floor:
         notes = (f"the NB score is not positive at the floor k={k:.0e}",)
     else:
         g, evals = score(k)[0], evals + 1
     model = NegBinomial(p=k / (m + k), k=k)
-    bracket = (float(lo[0]), float(hi[0]))
     info = SolverInfo("newton-bisection", evals, bracket, g, bool(notes), notes)
     return _fit_result(model, loglik(model, s), 2, info)
 
 
-def _libm(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """libm's f (through `math`) elementwise over a float array."""
-    return lambda x: np.array([f(v) for v in x.tolist()])
-
-
-def _solve_log_k(score, k0: np.ndarray, exp, log) -> tuple:
+def _solve_log_k(score, k0: list[float], exp, log) -> list[tuple]:
     """Safeguarded Newton in log k for NB shapes, for any number of rows.
 
-    The one statement of the NB solver's rules. ``score(rows, k)`` gives the
-    profile score g (positive below the root) and g' for the numbered rows;
-    ``k0`` holds their moments shapes. Per row, the bracket k0/10, k0*10 in
+    The one statement of the NB solver's rules. ``score(rows, ks)`` gives the
+    profile score g (positive below the root) and g' as two sequences for a
+    list of row numbers and a list of their shapes; ``k0`` lists the rows'
+    moments shapes. Per row, the bracket k0/10, k0*10 in
     [1e-8, 1e8] moves down tenfold while g <= 0 at its low end, then up while
     g > 0 at its high end. g > 0 at the cap gives k = 1e8 (cap); else g <= 0 at
     the floor gives k = 1e-8 (floor). Else Newton in log k runs from k0 (the
@@ -497,20 +492,21 @@ def _solve_log_k(score, k0: np.ndarray, exp, log) -> tuple:
     its sign. A step >= 1e-10 that leaves the bracket becomes a bisection (a
     smaller one may round onto an edge and stands), and the row ends,
     unevaluated, where its first step < 1e-10 lands (or after 100 steps).
-    Returns per row, as arrays: k, the widened bracket (lo, hi), the last g,
-    the evaluation count, and the cap and floor flags. Past k ~ 1e6, k is
+    Returns one tuple per row, (k, (lo, hi), g, evaluations, cap, floor), of
+    Python floats, ints and bools: k, the widened bracket, the last g, the
+    evaluation count, and the cap and floor flags. Past k ~ 1e6, k is
     roundoff beyond about 1e-9 relative (g's terms cancel). Row state is
     Python floats, which round as numpy's do: a step is one ``score``, ``log``
-    and ``exp`` over the live rows. Each caller passes its own ``exp`` and
-    ``log``: numpy's SIMD ones can differ from libm's in the last bit, and
-    the reports hold libm's bits for `mle_nb` and numpy's for the row fits.
+    and ``exp`` over the live rows, ``exp`` and ``log`` mapping lists to lists.
+    Each caller passes its own: numpy's SIMD ones can differ from libm's in
+    the last bit, and the reports hold libm's bits for `mle_nb` and numpy's
+    for the row fits.
     """
-    k0 = k0.tolist()
-    every = range(len(k0))
+    every = list(range(len(k0)))
     lo = [min(max(_BRACKET_FLOOR, v / 10.0), _BRACKET_CAP) for v in k0]
     hi = [max(min(_BRACKET_CAP, v * 10.0), _BRACKET_FLOOR) for v in k0]
     def g_at(ends: list, rows) -> list:  # g at each row's end of the bracket
-        return score(np.array(rows, dtype=int), np.array([ends[i] for i in rows]))[0].tolist()
+        return list(score(rows, [ends[i] for i in rows])[0])
     g_lo, g_hi, evals = g_at(lo, every), g_at(hi, every), [2] * len(k0)
     while grow := [i for i in every if g_lo[i] <= 0.0 and lo[i] > _BRACKET_FLOOR]:
         for i in grow:
@@ -528,25 +524,24 @@ def _solve_log_k(score, k0: np.ndarray, exp, log) -> tuple:
     g = [b if c else a for c, a, b in zip(cap, g_lo, g_hi)]
     rows = [i for i in every if not (cap[i] or floor[i])]
     kr = [k0[i] if lo[i] < k0[i] < hi[i] else math.sqrt(lo[i] * hi[i]) for i in rows]
-    t_lo, t_hi = (log(np.array([end[i] for i in rows])).tolist() for end in (lo, hi))
+    t_lo, t_hi = (log([end[i] for i in rows]) for end in (lo, hi))
     for _ in range(100):
         if not rows:
             break
-        t = log(ka := np.array(kr)).tolist()
-        gr, dg = (v.tolist() for v in score(np.array(rows), ka))
+        t = log(kr)
+        gr, dg = score(rows, kr)
         t_lo = [b if v > 0.0 else a for a, b, v in zip(t_lo, t, gr)]
         t_hi = [a if v > 0.0 else b for a, b, v in zip(t_hi, t, gr)]
         t_new = [b - _divide(v, c * d) if d < 0.0 else math.inf
                  for b, v, c, d in zip(t, gr, kr, dg)]
         t_new = [0.5 * (a + b) if abs(c - d) >= 1e-10 and not a < c < b else c
                  for a, b, c, d in zip(t_lo, t_hi, t_new, t)]
-        kr = exp(np.array(t_new)).tolist()
+        kr = exp(t_new)
         for i, a, b in zip(rows, gr, kr):
             g[i], k[i], evals[i] = a, b, evals[i] + 1
         if not all(keep := [not abs(c - d) < 1e-10 for c, d in zip(t_new, t)]):
             rows, kr, t_lo, t_hi = (list(compress(x, keep)) for x in (rows, kr, t_lo, t_hi))
-    return (np.array(k), (np.array(lo), np.array(hi)), np.array(g), np.array(evals),
-            np.array(cap), np.array(floor))
+    return list(zip(k, zip(lo, hi), g, evals, cap, floor))
 
 
 def _divide(a: float, b: float) -> float:
@@ -567,7 +562,8 @@ def _nb_shape_rows(
     j = np.arange(table.shape[1] - 1, dtype=np.float64)
     ja = j * (n - np.cumsum(table[:, :-1], axis=1))  # j * A_j per row
 
-    def score(rows: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def score(rows: list[int], ks: list[float]) -> tuple[list, list]:
+        rows, k = np.array(rows, dtype=int), np.array(ks)
         mr = m[rows]
         inv = 1.0 / (k[:, None] + j)
         r = ja[rows] * inv
@@ -575,9 +571,11 @@ def _nb_shape_rows(
         x = mr / k
         phi = np.where(x > 0.01, x - np.log1p(x), _x_minus_log1p_series(x))
         g = n * phi - s1 / k
-        return g, (s1 + k * s2 - n * mr * mr / (mr + k)) / (k * k)
+        return g.tolist(), ((s1 + k * s2 - n * mr * mr / (mr + k)) / (k * k)).tolist()
 
-    k = _solve_log_k(score, _moments_shape(m, var), np.exp, np.log)[0]
+    solved = _solve_log_k(score, _moments_shape(m, var).tolist(),
+                          lambda x: np.exp(x).tolist(), lambda x: np.log(x).tolist())
+    k = np.array([row[0] for row in solved])
     for i in np.flatnonzero(k > 1e4):
         counts = np.flatnonzero(table[i])
         s = FrequencySample(

@@ -110,10 +110,19 @@ def _expected(model: CountModel, n: int, ys: np.ndarray) -> tuple[np.ndarray, fl
     return n * probs, n * max(0.0, 1.0 - float(np.sum(probs)))
 
 
+def _check_integer(name: str, v, least: int) -> None:
+    """Refuse a v that is not an int or numpy integer >= least; bools are refused."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+        raise InvalidModelError(f"{name} must be >= {least} and an integer, got {v!r}")
+
+
 def expected_counts(model: CountModel, n: int, max_count: int) -> list[float]:
-    """Expected frequencies n*pmf(y) for y in [0, max_count] plus a tail cell."""
-    if max_count < 1:
-        raise InvalidModelError(f"max_count must be >= 1, got {max_count!r}")
+    """Expected frequencies n*pmf(y) for y in [0, max_count] plus a tail cell.
+
+    Raises InvalidModelError unless n is an integer >= 0 and max_count one >= 1.
+    """
+    _check_integer("sample size", n, 0)
+    _check_integer("max_count", max_count, 1)
     cells, tail = _expected(model, n, np.arange(max_count + 1))
     return cells.tolist() + [tail]
 
@@ -278,10 +287,12 @@ def gof_test(
     bits as folding and pooling one cell at a time. Raises CountFitError
     for a threshold that is not > 0 (NaN included); DegenerateBinningError
     for an all-zero sample, a largest count past `summarize`'s table size
-    rule, fewer than MIN_BINS bins or df < 1; and CountFitError naming the
-    bin when a chi-squared term overflows (a bin expecting about 1e-300 or
-    less that holds an observation).
+    rule, fewer than MIN_BINS bins or df < 1; CountFitError naming the bin
+    when a chi-squared term overflows (a bin expecting about 1e-300 or less
+    that holds an observation); and InvalidModelError unless n_params is an
+    integer >= 0 (0 for a fully specified model).
     """
+    _check_integer("n_params", n_params, 0)
     return _gof(model, _cells(s), n_params, threshold)
 
 

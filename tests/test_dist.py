@@ -166,6 +166,12 @@ def test_pmf_rejects_negative_count():
         pmf(Geometric(p=0.5), -1)
 
 
+@pytest.mark.parametrize("call", [lambda: log_pmf_array(object(), [1]), lambda: moments(object())])
+def test_an_object_that_is_no_model_is_refused(call):
+    with pytest.raises(InvalidModelError, match="unknown model type object"):
+        call()
+
+
 # --- pgf -------------------------------------------------------------------
 
 

@@ -289,6 +289,7 @@ def test_from_summary_refuses_a_summary_no_sample_has(n, n0, mean, var):
 def test_from_summary_takes_the_summaries_of_real_samples(n, n0, mean, var):
     s = FrequencySample.from_summary(n, n0, mean, var)
     assert (s.n, s.n0, s.mean, s.var) == (n, n0, mean, var)
+    assert s.freq is None  # a summary holds no histogram
 
 
 def _zeros_then_equal(n0: int, n1: int, c: int) -> list[int]:
@@ -520,6 +521,8 @@ def test_mle_poisson():
         (mle_poisson, FrequencySample.from_summary(100, 30, 2.0, var=4.0), "full histogram"),
         (mom_nb, FrequencySample.from_summary(100, 30, 2.0), "requires the sample variance"),
         (mle_nb, FrequencySample.from_summary(100, 30, 2.0, var=4.0), "full frequency table"),
+        (lambda s: loglik(Poisson(mean=1.0), s), FrequencySample.from_summary(10, 2, 1.0),
+         "no structured log-likelihood for Poisson"),
     ],
 )
 def test_a_fitter_refuses_a_summary_that_lacks_what_it_needs(fitter, s, message):

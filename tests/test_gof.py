@@ -46,6 +46,32 @@ def test_expected_counts_needs_a_cell_past_zero():
         expected_counts(Geometric(p=0.5), 10, 0)
 
 
+@pytest.mark.parametrize(
+    "n, max_count, message",
+    [
+        (-5, 3, "sample size must be >= 0"),
+        (2.5, 3, "sample size must be >= 0 and an integer"),
+        (True, 3, "sample size must be >= 0 and an integer"),
+        (10, 2.5, "max_count must be >= 1 and an integer"),
+        (10, True, "max_count must be >= 1 and an integer"),
+        (10, np.float64(3.0), "max_count must be >= 1 and an integer"),
+    ],
+)
+def test_expected_counts_refuses_a_size_or_largest_count_that_is_not_a_whole_number(
+    n, max_count, message
+):
+    # a negative size gave negative expected counts, and max_count=2.5 gave
+    # four cells and a tail
+    with pytest.raises(InvalidModelError, match=message):
+        expected_counts(Geometric(p=0.5), n, max_count)
+
+
+def test_expected_counts_takes_numpy_integers():
+    assert expected_counts(Geometric(p=0.5), np.int64(8), np.int64(2)) == pytest.approx(
+        [4.0, 2.0, 1.0, 1.0]
+    )
+
+
 def test_expected_counts_zig_reference_zero_cell():
     # Seo sample A parameters reproduce the recovered zero count
     exp = expected_counts(ZeroInflated(pi=0.3653, base=Geometric(p=0.3843)), 540, 5)
@@ -331,3 +357,22 @@ def test_chi2_bits_do_not_depend_on_how_sum_adds_floats(monkeypatch):
     assert _neumaier_sum([1.0, 1e100, 1.0, -1e100]) == 2.0  # the emulation compensates
     monkeypatch.setattr(builtins, "sum", _neumaier_sum)
     assert _golden_reports() == want
+
+
+# the ZIG fit of this map has 7 bins and df 5
+ZIG_MAP = {0: 30, 1: 20, 2: 12, 3: 8, 4: 5, 5: 3, 6: 2}
+
+
+@pytest.mark.parametrize("n_params", [-3, 1.5, True, "2", None])
+def test_gof_test_refuses_a_parameter_count_that_is_not_a_whole_number(n_params):
+    s = summarize(ZIG_MAP)
+    # -3, 1.5 and True gave df 10, 5.5 and 6, each with a p-value
+    with pytest.raises(CountFitError, match="n_params must be >= 0 and an integer"):
+        gof_test(mle_zig(s).model, s, n_params)
+
+
+def test_gof_test_takes_a_fully_specified_model_and_numpy_integers():
+    s = summarize(ZIG_MAP)
+    model = mle_zig(s).model
+    assert gof_test(model, s, np.int64(2)).df == 5
+    assert gof_test(model, s, 0).df == 7

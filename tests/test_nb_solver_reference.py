@@ -9,8 +9,8 @@ k for every row, bit for bit. A last test checks the driver's lockstep
 bookkeeping on a synthetic score: a row's result must not depend on the
 rows solved beside it. `_ref_solve_log_k` is the driver as it stood when it
 stepped every row in numpy arrays; the driver in Python floats must return
-the same arrays, also where a zero or NaN divisor makes numpy give inf or
-nan.
+the same values, also where a zero or NaN divisor makes numpy give inf or
+nan, and give a scalar caller Python floats, ints and bools.
 """
 
 import math
@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from countfit.dist import _table_fits
 from countfit.estimate import (
     FrequencySample,
-    _libm,
     _nb_profile_score,
     _nb_shape_rows,
     _solve_log_k,
@@ -345,13 +344,28 @@ def _tanh(root, slope):
 
 
 def _scores(rows_spec):
-    """score(rows, k) over rows of (g, start), one element at a time."""
+    """score(rows, ks) over rows of (g, start), one element at a time, in lists."""
 
-    def score(rows, k):
-        gs = [rows_spec[i][0](x) for i, x in zip(rows.tolist(), k.tolist())]
-        return np.array([g for g, _ in gs]), np.array([dg for _, dg in gs])
+    def score(rows, ks):
+        gs = [rows_spec[i][0](x) for i, x in zip(rows, ks)]
+        return [g for g, _ in gs], [dg for _, dg in gs]
 
     return score
+
+
+def _mapped(f):
+    """f over a list of floats, as a scalar caller passes libm's exp and log."""
+    return lambda x: list(map(f, x))
+
+
+def _on_arrays(f):
+    """A list-to-list exp or log over a float array, for `_ref_solve_log_k`."""
+    return lambda x: np.array(f(x.tolist()))
+
+
+def _score_on_arrays(score):
+    """A list score over the arrays `_ref_solve_log_k` passes, giving arrays."""
+    return lambda rows, k: tuple(np.array(v) for v in score(rows.tolist(), k.tolist()))
 
 
 def _tanh_score(rows_spec):
@@ -360,12 +374,9 @@ def _tanh_score(rows_spec):
 
 
 def _solve(rows_spec):
-    k0 = np.array([start for _, _, start in rows_spec])
-    k, (lo, hi), g, evals, cap, floor = _solve_log_k(
-        _tanh_score(rows_spec), k0, _libm(math.exp), _libm(math.log)
-    )
-    return list(zip(k.tolist(), lo.tolist(), hi.tolist(), g.tolist(), evals.tolist(),
-                    cap.tolist(), floor.tolist()))
+    k0 = [start for _, _, start in rows_spec]
+    rows = _solve_log_k(_tanh_score(rows_spec), k0, _mapped(math.exp), _mapped(math.log))
+    return [(k, lo, hi, *rest) for k, (lo, hi), *rest in rows]
 
 
 def test_the_synthetic_rows_take_every_path():
@@ -424,15 +435,27 @@ ODD_ROWS = [
 ROWS = [(_tanh(root, slope), start) for root, slope, start in SYNTHETIC_ROWS] + ODD_ROWS
 
 
-EXP_LOG = [(_libm(math.exp), _libm(math.log)), (np.exp, np.log)]
+# libm's exp and log, and numpy's, each mapping a list to a list
+EXP_LOG = [
+    (_mapped(math.exp), _mapped(math.log)),
+    (lambda x: np.exp(x).tolist(), lambda x: np.log(x).tolist()),
+]
 
 
 def _assert_same_as_lockstep(rows_spec, exp, log):
-    k0 = np.array([start for _, start in rows_spec])
+    k0 = [start for _, start in rows_spec]
     got = _solve_log_k(_scores(rows_spec), k0, exp, log)
-    want = _ref_solve_log_k(_scores(rows_spec), k0.copy(), exp, log)
-    for a, b in zip(_flat(got), _flat(want)):
+    want = _ref_solve_log_k(
+        _score_on_arrays(_scores(rows_spec)), np.array(k0), _on_arrays(exp), _on_arrays(log)
+    )
+    for a, b in zip(_columns(got), _flat(want)):
         np.testing.assert_array_equal(a, b, strict=True)
+
+
+def _columns(rows):
+    """The driver's per-row tuples as arrays: k, lo, hi, g, evals, cap, floor."""
+    k, bracket, *rest = zip(*rows)
+    return [np.array(v) for v in (k, *zip(*bracket), *rest)]
 
 
 def _flat(result):
@@ -442,8 +465,8 @@ def _flat(result):
 
 @pytest.mark.parametrize("exp, log", EXP_LOG)
 def test_the_odd_rows_take_the_zero_and_nan_divisor_paths(exp, log):
-    k, (lo, hi), g, evals, cap, floor = _solve_log_k(
-        _scores(ODD_ROWS), np.array([start for _, start in ODD_ROWS]), exp, log
+    k, lo, hi, g, evals, cap, floor = _columns(
+        _solve_log_k(_scores(ODD_ROWS), [start for _, start in ODD_ROWS], exp, log)
     )
     assert not (cap.any() or floor.any())
     assert k[0] == pytest.approx(1e-3, rel=1e-9) and k[2] == pytest.approx(2e-3, rel=1e-9)
@@ -464,3 +487,17 @@ def test_every_synthetic_batch_matches_the_lockstep_driver(exp, log):
 @settings(max_examples=100, deadline=None)
 def test_any_batch_of_synthetic_rows_matches_the_lockstep_driver(picks, use_libm):
     _assert_same_as_lockstep([ROWS[i] for i in picks], *EXP_LOG[0 if use_libm else 1])
+
+
+@pytest.mark.parametrize("g_of, start", ROWS)
+def test_a_scalar_caller_gets_the_lockstep_row_in_python_types(g_of, start):
+    # one row at a time with a Python-float score, as `mle_nb` calls the driver
+    [got] = _solve_log_k(lambda rows, ks: list(zip(*map(g_of, ks))), [start], *EXP_LOG[0])
+    k, (lo, hi), g, evals, cap, floor = got
+    want = [v[0] for v in _flat(_ref_solve_log_k(
+        _score_on_arrays(_scores([(g_of, start)])), np.array([start]),
+        *map(_on_arrays, EXP_LOG[0]),
+    ))]
+    for a, b in zip((k, lo, hi, g, evals, cap, floor), want):
+        assert a == b or (math.isnan(a) and math.isnan(b))
+    assert [type(v) for v in (k, lo, hi, g, evals, cap, floor)] == [float] * 4 + [int, bool, bool]

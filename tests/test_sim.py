@@ -269,6 +269,18 @@ def test_recovery_of_a_compound_over_a_non_geometric_base_is_refused():
         recovery_experiment(ZeroInflated(pi=0.3, base=Poisson(mean=2.0)), 20, 2, 0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sample(object(), 5, 0), "cannot sample model object"),
+        (lambda: family_of(object()), "unknown model type object"),
+    ],
+)
+def test_an_object_that_is_no_model_is_refused(call, message):
+    with pytest.raises(CountFitError, match=message):
+        call()
+
+
 def _scalar_recovery(model, n, reps, seed):
     """Per-replicate public calls: sample each spawned child, summarize, fit."""
     fitters = {
