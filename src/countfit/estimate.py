@@ -6,9 +6,10 @@ finite-sum profile score (Bliss & Fisher 1953); one solver, `_solve_log_k`
 (safeguarded Newton in log k), finds it for the scalar and the row fits. Its
 contract is Python floats; only the row fit, which scores arrays, converts.
 
-`FAMILY_TABLE` defines each fitted family in one place: its parameter
-names, how to build and read its models, and its scalar and row fitters.
-The CLI, `gof` and `sim` read it; adding a family is adding a record.
+A family's law is its model class in `dist`. Its `FAMILY_TABLE` record
+holds the rest: its parameter names, how to build a model from them, its
+scalar and row fitters, and the family it reparametrizes. The CLI, `gof`
+and `sim` read the table; adding a family is a class and a record.
 """
 
 from __future__ import annotations
@@ -24,22 +25,10 @@ from types import MappingProxyType
 import numpy as np
 
 from .dist import (
-    CountModel,
-    Geometric,
-    Hurdle,
-    NegBinomial,
-    Poisson,
-    ZeroInflated,
-    _table_fits,
-    log_pmf_array,
+    CountModel, Geometric, Hurdle, NegBinomial, Poisson, ZeroInflated,
+    _require_model, _table_fits, log_pmf_array,
 )
-from .errors import (
-    AllZerosError,
-    CountFitError,
-    EstimationError,
-    InvalidModelError,
-    UnderDispersedError,
-)
+from .errors import AllZerosError, CountFitError, EstimationError, UnderDispersedError
 from .specfn import _digamma, _trigamma, _x_minus_log1p, _x_minus_log1p_series
 
 __all__ = [
@@ -252,51 +241,17 @@ def _fit_result(
     )
 
 
-def _xlogy(x: float, y: float) -> float:
-    """x * ln(y) with the convention 0 * ln(0) = 0."""
-    if x == 0.0:
-        return 0.0
-    return x * math.log(y) if y > 0.0 else float("-inf")
-
-
 def loglik(model: CountModel, s: FrequencySample) -> float:
     """Log-likelihood of the sample under the model.
 
     With a full histogram this is the direct sum of freqs * log_pmf_array. For
-    summary-only samples the structured forms (functions of n, n0 and the
-    mean alone) are used; they exist for the geometric family and its
-    zero-inflated/hurdle compounds.
+    summary-only samples the model's structured form (a function of n, n0
+    and the mean alone) is used; the geometric family and its
+    zero-inflated/hurdle compounds have one.
     """
     if s.counts is not None:
         return float(np.sum(s.freqs * log_pmf_array(model, s.counts)))
-    return _loglik_structured(model, s)
-
-
-def _loglik_structured(model: CountModel, s: FrequencySample) -> float:
-    n, n0, m = s.n, s.n0, s.mean
-    if isinstance(model, Geometric):
-        return _xlogy(n, model.p) + _xlogy(m * n, 1.0 - model.p)
-    if isinstance(model, ZeroInflated) and isinstance(model.base, Geometric):
-        pi, p = model.pi, model.base.p
-        p0 = pi + (1.0 - pi) * p
-        return (
-            _xlogy(n0, p0)
-            + _xlogy(n - n0, 1.0 - pi)
-            + _xlogy(n - n0, p)
-            + _xlogy(m * n, 1.0 - p)
-        )
-    if isinstance(model, Hurdle) and isinstance(model.base, Geometric):
-        pi, p = model.pi, model.base.p
-        return (
-            _xlogy(n0, pi)
-            + _xlogy(n - n0, 1.0 - pi)
-            + _xlogy(n - n0, p)
-            + _xlogy(m * n - (n - n0), 1.0 - p)
-        )
-    raise EstimationError(
-        f"no structured log-likelihood for {type(model).__name__}; "
-        "provide the full frequency table"
-    )
+    return _require_model(model)._summary_loglik(s.n, s.n0, s.mean)
 
 
 def _require_nonzero_mean(s: FrequencySample) -> None:
@@ -627,21 +582,19 @@ def _rows_nb_moments(table, n, n0, m, var):
 
 @dataclass(frozen=True)
 class Family:
-    """One fitted model family: its parameters, its models and its fitters.
+    """One fitted model family: its parameters, how to build its models, its fitters.
 
     ``names`` are the parameters in report order. ``build(*values)`` makes a
-    model from them and ``values(model)`` reads them back. ``fits`` maps each
-    fit method to (scalar fitter, row fitter); "mle" comes first. ``kind``
-    is the model class; a compound family's base is geometric. Where
+    model from them; the model's class reads them back and defines the law.
+    ``fits`` maps each fit method to (scalar fitter, row fitter); "mle"
+    comes first. A compound family's base is geometric. Where
     ``reparam_of`` names another family, the two give the same pmf under a
     change of parameters.
     """
 
     name: str
     names: tuple[str, ...]
-    kind: type
     build: Callable[..., CountModel]
-    values: Callable[[CountModel], tuple[float, ...]]
     fits: Mapping[str, tuple[Callable, Callable]]
     reparam_of: str | None = None
 
@@ -655,27 +608,19 @@ class Family:
 
     def params(self, model: CountModel) -> dict[str, float]:
         """The model's parameters by name, in report order."""
-        return dict(zip(self.names, self.values(model)))
-
-
-def _compound_values(model) -> tuple[float, float]:
-    return model.pi, model.base.p
+        return dict(zip(self.names, model._values()))
 
 
 # every fitted family, in the order reports and messages list them
 FAMILY_TABLE: dict[str, Family] = {f.name: f for f in (
-    Family("nb", ("p", "k"), NegBinomial, NegBinomial, lambda model: (model.p, model.k),
+    Family("nb", ("p", "k"), NegBinomial,
            {"mle": (mle_nb, _rows_nb_mle), "moments": (mom_nb, _rows_nb_moments)}),
-    Family("zig", ("pi", "p"), ZeroInflated,
-           lambda pi, p: ZeroInflated(pi=pi, base=Geometric(p=p)), _compound_values,
+    Family("zig", ("pi", "p"), lambda pi, p: ZeroInflated(pi=pi, base=Geometric(p=p)),
            {"mle": (mle_zig, _rows_zig)}),
-    Family("hg", ("pi", "p"), Hurdle,
-           lambda pi, p: Hurdle(pi=pi, base=Geometric(p=p)), _compound_values,
+    Family("hg", ("pi", "p"), lambda pi, p: Hurdle(pi=pi, base=Geometric(p=p)),
            {"mle": (mle_hg, _rows_hg)}, reparam_of="zig"),
-    Family("geom", ("p",), Geometric, Geometric, lambda model: (model.p,),
-           {"mle": (mle_geometric, _rows_geometric)}),
-    Family("poisson", ("m",), Poisson, Poisson, lambda model: (model.mean,),
-           {"mle": (mle_poisson, _rows_poisson)}),
+    Family("geom", ("p",), Geometric, {"mle": (mle_geometric, _rows_geometric)}),
+    Family("poisson", ("m",), Poisson, {"mle": (mle_poisson, _rows_poisson)}),
 )}
 
 
@@ -683,7 +628,4 @@ def family_of(model: CountModel) -> Family:
     """The fitted family of a model; compounds over a geometric base only."""
     if isinstance(model, (ZeroInflated, Hurdle)) and not isinstance(model.base, Geometric):
         raise CountFitError("recovery supports geometric-based compounds only")
-    for family in FAMILY_TABLE.values():
-        if type(model) is family.kind:
-            return family
-    raise InvalidModelError(f"unknown model type {type(model).__name__}")
+    return FAMILY_TABLE[_require_model(model)._family]

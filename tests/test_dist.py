@@ -166,6 +166,19 @@ def test_pmf_rejects_negative_count():
         pmf(Geometric(p=0.5), -1)
 
 
+@pytest.mark.parametrize("y", [2.5, math.nan, math.inf, True, np.True_, np.float64(0.5)])
+@pytest.mark.parametrize("call", [pmf, log_pmf])
+def test_a_count_that_is_no_integer_is_refused(call, y):
+    with pytest.raises(InvalidModelError, match="count must be >= 0 and an integer"):
+        call(Poisson(mean=2.0), y)
+
+
+@pytest.mark.parametrize("y", [2.0, np.float64(2.0), np.int64(2), np.uint8(2)])
+def test_an_integral_count_of_any_number_type_is_taken(y):
+    for model in (Poisson(mean=2.0), Geometric(p=0.5), Hurdle(pi=0.3, base=Geometric(p=0.5))):
+        assert log_pmf(model, y) == log_pmf(model, 2)
+
+
 @pytest.mark.parametrize("call", [lambda: log_pmf_array(object(), [1]), lambda: moments(object())])
 def test_an_object_that_is_no_model_is_refused(call):
     with pytest.raises(InvalidModelError, match="unknown model type object"):
@@ -229,6 +242,21 @@ def test_moments_undefined_dispersion():
     assert moments(Poisson(mean=0.0)).dispersion is None
 
 
+@pytest.mark.parametrize(
+    "model, mean",
+    [
+        (Geometric(p=1e-200), 1e200),
+        (NegBinomial(p=1e-300, k=1.0), 1e300),
+        (NegBinomial(p=1e-160, k=1e10), 1e170),  # p**2 subnormal: the division overflows
+        (NegBinomial(p=1e-300, k=1e10), math.inf),
+    ],
+)
+def test_moments_where_p_squared_underflows(model, mean):
+    mom = moments(model)
+    assert mom.mean == pytest.approx(mean, rel=1e-12)
+    assert mom.variance == math.inf and mom.dispersion == math.inf
+
+
 # --- constructors ----------------------------------------------------------
 
 
@@ -278,6 +306,36 @@ def test_make_hurdle_bounds():
         Hurdle(pi=1.5, base=Geometric(p=0.5))
     with pytest.raises(InvalidModelError):
         Hurdle(pi=0.5, base=Geometric(p=1.0))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Poisson(mean=True),
+        lambda: Geometric(p="0.5"),
+        lambda: NegBinomial(p=0.5, k=None),
+        lambda: NegBinomial(p=np.True_, k=1.0),
+        lambda: ZeroInflated(pi=False, base=Geometric(p=0.5)),
+        lambda: Hurdle(pi="0.2", base=Geometric(p=0.5)),
+    ],
+)
+def test_a_parameter_that_is_no_number_is_refused(make):
+    with pytest.raises(InvalidModelError, match="must be a real number"):
+        make()
+
+
+def test_numpy_numbers_are_taken_as_parameters():
+    assert Poisson(mean=np.int64(3)) == Poisson(mean=3.0)
+    assert Geometric(p=np.float32(0.5)) == Geometric(p=0.5)
+    assert NegBinomial(p=np.float64(0.25), k=np.int32(2)) == NegBinomial(p=0.25, k=2.0)
+    assert ZeroInflated(pi=np.float64(0.5), base=Geometric(p=0.5)).pi == 0.5
+
+
+@pytest.mark.parametrize("base", [object(), "Geometric(p=0.5)"])
+def test_a_compound_over_no_model_is_refused(base):
+    for compound in (ZeroInflated, Hurdle):
+        with pytest.raises(InvalidModelError, match="unknown model type"):
+            compound(pi=0.2, base=base)
 
 
 def test_no_nested_compounds():

@@ -42,7 +42,7 @@ def test_spec_from_the_table_round_trips(name, data):
     model = parse_model_spec(spec)
     assert model == family.build(*values)
     assert family_of(model) is family
-    assert family.values(model) == values
+    assert model._values() == values
     assert list(family.params(model)) == list(family.names)
 
 
@@ -76,7 +76,7 @@ def test_row_fitter_matches_scalar_fitter(name, data):
     for meth, (fit_fn, rows) in family.fits.items():
         cols, ok = rows(table, *stats)
         try:
-            want = family.values(fit_fn(s).model)
+            want = fit_fn(s).model._values()
         except CountFitError:
             assert not ok[0], meth
             continue

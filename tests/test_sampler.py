@@ -1,7 +1,9 @@
 """The samplers against independent oracles: scipy.stats pmfs and numpy's own draws.
 
 The frequency rows that recovery experiments tally are checked against
-np.bincount of the values drawn from the same stream.
+np.bincount of the values drawn from the same stream, and ``sample``'s draws
+against the histograms of tests/data/sample_corpus.json, recorded by
+tests/data/record_sample_corpus.py at an earlier commit.
 
 Every test here has a fixed seed or a derandomized search, and is
 deterministic. The chi-squared tests would each fail a correct sampler with
@@ -9,8 +11,10 @@ probability ALPHA at a fresh seed; over the six NB cases that is a
 false-alarm budget of 6 * ALPHA = 0.6%.
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from countfit import sim
+from countfit import dist
 from countfit.dist import (
     Geometric,
     Hurdle,
@@ -30,6 +34,7 @@ from countfit.dist import (
     pmf,
 )
 from countfit.sim import sample
+from test_dist import _LOG_PMF_CASES
 
 ALPHA = 1e-3
 N = 200_000
@@ -72,7 +77,7 @@ def _chi2_p_value(draws: np.ndarray, pmf, n: int) -> float:
 def test_nb_draws_match_the_scipy_pmf(m, k, seed):
     model = _nb(m, k)
     # the case is drawn from the inverse-CDF table, not the gamma-Poisson fallback
-    table = sim._inverse_cdf_table(lambda ys: np.exp(log_pmf_array(model, ys)), n=N)
+    table = dist._inverse_cdf_table(lambda ys: np.exp(log_pmf_array(model, ys)), n=N)
     assert table is not None
     draws = sample(model, N, seed)
     assert draws.dtype == np.int64 and draws.size == N and draws.min() >= 0
@@ -135,7 +140,7 @@ def test_nb_past_the_size_rule_draws_gamma_then_poisson(m, k, n):
 
 
 def _nb_table(model: NegBinomial, n: int):
-    return sim._inverse_cdf_table(lambda ys: np.exp(log_pmf_array(model, ys)), n=n)
+    return dist._inverse_cdf_table(lambda ys: np.exp(log_pmf_array(model, ys)), n=n)
 
 
 @st.composite
@@ -177,7 +182,7 @@ def test_a_row_is_the_bincount_of_the_values_on_the_same_stream(kind, data, n, s
     nb = model.base if isinstance(model, ZeroInflated) else model
     if kind.startswith("nb") or kind == "inflated zig over a table":
         assert (_nb_table(nb, n) is not None) == (kind != "nb gamma-poisson")
-    draw = sim._sampler(model, n)
+    draw = model._sampler(n)
     values = draw.values(np.random.default_rng(seed))
     row = draw.row(np.random.default_rng(seed))
     if row is None:  # only a row made from values is checked against the size rule
@@ -201,7 +206,7 @@ def test_a_row_is_the_bincount_of_the_values_on_the_same_stream(kind, data, n, s
 )
 def test_table_values_and_rows_put_each_uniform_where_searchsorted_puts_it(u, start):
     cum = np.array([0.25, 0.5, 0.75, 1.0 - 1e-12])
-    draw = sim._table_sampler(cum, len(u), start)._replace(draw=lambda _: np.array(u))
+    draw = dist._table_sampler(cum, len(u), start)._replace(draw=lambda _: np.array(u))
     expected = np.where(np.array(u) < 0, 0, np.searchsorted(cum, u) + start)
     values = draw.values(None)
     assert values.dtype == np.int64 and np.array_equal(values, expected)
@@ -212,7 +217,37 @@ def test_table_values_and_rows_put_each_uniform_where_searchsorted_puts_it(u, st
 @pytest.mark.parametrize("n", [1, 7])
 def test_a_replicate_of_zeros_only_has_an_empty_base(n):
     cum = np.array([0.25, 0.5, 0.75, 1.0 - 1e-12])
-    draw = sim._zero_mixed(1.0, sim._table_sampler(cum, n, start=1), n)
+    draw = dist._zero_mixed(1.0, dist._table_sampler(cum, n, start=1), n)
     assert np.array_equal(draw.values(np.random.default_rng(5)), np.zeros(n, dtype=np.int64))
     row = draw.row(np.random.default_rng(5))
     assert row.dtype == np.int64 and np.array_equal(row, [n])
+
+
+# --- draws pinned by the sample corpus --------------------------------------
+
+SAMPLE_CORPUS = json.loads((Path(__file__).parent / "data" / "sample_corpus.json").read_text())
+# its table is past the size rule at every n of the corpus
+_GAMMA_POISSON_NB = NegBinomial(p=0.05 / 1000.05, k=0.05)
+# every log-pmf case, a deflated ZI over a Poisson base and a gamma-Poisson NB
+_CORPUS_MODELS = {
+    repr(m): m
+    for m in (
+        *_LOG_PMF_CASES,
+        ZeroInflated(pi=-0.1, base=Poisson(mean=2.0)),
+        _GAMMA_POISSON_NB,
+    )
+}
+
+
+def test_the_sample_corpus_holds_every_model():
+    assert {rec["model"] for rec in SAMPLE_CORPUS} == set(_CORPUS_MODELS)
+    assert all(_nb_table(_GAMMA_POISSON_NB, n) is None for n in (1, 300, 5000))
+
+
+@pytest.mark.parametrize(
+    "rec", SAMPLE_CORPUS, ids=lambda rec: f"{rec['model']}-{rec['n']}-{rec['seed']}"
+)
+def test_sample_draws_the_recorded_histogram(rec):
+    table = np.bincount(sample(_CORPUS_MODELS[rec["model"]], rec["n"], rec["seed"]))
+    ys = np.flatnonzero(table)
+    assert [list(cell) for cell in zip(ys.tolist(), table[ys].tolist())] == rec["hist"]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_model
 from likelihood_oracles import grid_oracle
-from countfit import sim
+from countfit import dist, sim
 from countfit.dist import Geometric, Hurdle, NegBinomial, Poisson, ZeroInflated, moments, pmf
 from countfit.errors import CountFitError
 from countfit.estimate import (
@@ -39,7 +39,7 @@ def test_more_values_than_the_cap_are_refused_before_drawing(monkeypatch):
     def no_draw(model, n):
         raise AssertionError("a sampler was built")
 
-    monkeypatch.setattr(sim, "_sampler", no_draw)
+    monkeypatch.setattr(NegBinomial, "_sampler", no_draw)
     model = NegBinomial(p=0.2, k=0.5)
     with pytest.raises(CountFitError, match=f"cap is {sim.MAX_VALUES}"):
         sample(model, 10**11, 0)
@@ -152,6 +152,18 @@ def test_hurdle_table_past_the_cap_is_refused_up_front(base):
     with pytest.raises(CountFitError, match="inverse CDF"):
         sample(Hurdle(pi=0.3, base=base), 5, 0)
     assert time.perf_counter() - start < 0.5
+
+
+# p**2 underflows: the base's variance is infinite, not a ZeroDivisionError
+_UNDERFLOWING_NB = NegBinomial(p=1e-300, k=1.0)
+
+
+@pytest.mark.parametrize(
+    "model", [Hurdle(pi=0.3, base=_UNDERFLOWING_NB), ZeroInflated(pi=-1e-301, base=_UNDERFLOWING_NB)]
+)
+def test_a_base_whose_p_squared_underflows_is_refused_up_front(model):
+    with pytest.raises(CountFitError, match="inverse CDF"):
+        sample(model, 5, 1)
 
 
 _HEAVY_TAILED_NB = NegBinomial(p=1e-8, k=1e-3)
@@ -402,7 +414,7 @@ def test_row_fits_match_scalar_fits(kinds, n, seed):
     rows = [_row(kind, n, rng).astype(np.int64) for kind in kinds]
     b = len(rows)
     # each replicate's index stands in for its generator
-    draw = sim._Draw(rows.__getitem__)
+    draw = dist._Draw(rows.__getitem__)
     table = sim._tally_replicates(map(draw.row, range(b)), b, n)
     if "huge" in kinds:
         assert table is None
