@@ -38,6 +38,14 @@ _TAIL_MASS = 1e-12
 # it serves: 10 million cells, 80 MB as float64.
 _TABLE_CAP = 10_000_000
 
+# The most cells a geometric inverse-CDF table may need. Its cumsum adds
+# terms down to about p*1e-12, 2.8e-11/cells: past this length they fall
+# below 0.8 of half an ulp of a sum near 1, and whether the sum covers all
+# but the 1e-12 tail is the luck of its rounding. Hurdle and deflated ZI
+# tables failed at up to 6.8e5 cells (p = 4.08e-5) and covered at every p
+# scanned from there to 1e-4.
+_GEOMETRIC_TABLE_CELLS = 600_000
+
 # ln(1 - u) at the largest float below 1 that rng.random() returns
 _LOG_U_FLOOR = math.log1p(-(1.0 - 2.0**-53))
 
@@ -148,10 +156,10 @@ class Geometric(_Model):
 
     def _check_table_length(self) -> None:
         """Past L counts the tail is (1-p)^L: the table needs ln(1e-12)/ln(1-p) counts."""
-        if math.log(_TAIL_MASS) / math.log1p(-self.p) > _TABLE_CAP:
+        if math.log(_TAIL_MASS) / math.log1p(-self.p) > _GEOMETRIC_TABLE_CELLS:
             raise CountFitError(
                 f"cannot sample a geometric p={self.p!r} this small by inverse CDF: "
-                f"its table would need more than {_TABLE_CAP} counts"
+                f"its table would need more than {_GEOMETRIC_TABLE_CELLS} counts"
             )
 
     def _sampler(self, n: int) -> _Draw:
@@ -278,9 +286,7 @@ class ZeroInflated(_ZeroModified):
         return math.log1p(-self.pi) + self.base._log_pmf(y)
 
     def _moments(self) -> tuple[float, float]:
-        mean, var = self.base._moments()
-        w = 1.0 - self.pi
-        return w * mean, w * var + self.pi * w * mean**2
+        return _scaled_moments(1.0 - self.pi, self.pi, *self.base._moments())
 
     def _sampler(self, n: int) -> _Draw:
         if self.pi >= 0.0:
@@ -314,9 +320,8 @@ class Hurdle(_ZeroModified):
         return math.log1p(-self.pi) + self.base._log_pmf(y) - math.log1p(-p0)
 
     def _moments(self) -> tuple[float, float]:
-        mean, var = self.base._moments()
         alpha = (1.0 - self.pi) / (1.0 - pmf(self.base, 0))
-        return alpha * mean, alpha * var + alpha * (1.0 - alpha) * mean**2
+        return _scaled_moments(alpha, 1.0 - alpha, *self.base._moments())
 
     def _sampler(self, n: int) -> _Draw:
         self.base._check_table_length()
@@ -335,6 +340,25 @@ class Moments:
     mean: float
     variance: float
     dispersion: float | None  # variance/mean; None when mean == 0
+
+
+def _scaled_moments(w: float, c: float, mean: float, var: float) -> tuple[float, float]:
+    """(w*mean, w*(var + c*mean^2)): a zero-modified law's moments from its base's.
+
+    Where mean^2 passes the float range, the variance is w*var*(1 + c*mean*(mean/var)):
+    a deflation (c < 0) keeps it positive there, where the two terms would
+    give inf - inf, and w = 0 (every count 0) gives 0.
+    """
+    try:
+        return w * mean, w * var + c * w * mean**2
+    except OverflowError:
+        return w * mean, (w * var * (1.0 + c * mean * (mean / var)) if w else 0.0)
+
+
+def _check_integer(name: str, v, least: int) -> None:
+    """Refuse a v that is not an int or numpy integer >= least; bools are refused."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+        raise InvalidModelError(f"{name} must be >= {least} and an integer, got {v!r}")
 
 
 def _xlogy(x: float, y: float) -> float:
@@ -408,12 +432,20 @@ def log_pmf_array(model: CountModel, ys) -> np.ndarray:
     ``ys`` holds non-negative integers (any integer or float dtype). The
     model's class defines the pmf; ``log_pmf`` and ``pmf`` wrap this.
     """
-    return _require_model(model)._log_pmf(np.asarray(ys, dtype=np.float64))
+    model = _require_model(model)
+    try:
+        y = np.asarray(ys, dtype=np.float64)
+    except OverflowError as exc:
+        raise InvalidModelError("counts must be below 2**1024, the float range") from exc
+    return model._log_pmf(y)
 
 
 def log_pmf(model: CountModel, y: int) -> float:
     """ln P(Y=y), -inf where the pmf is exactly zero; y is an integer >= 0 or an integral float."""
-    if isinstance(y, (bool, np.bool_)) or not (y >= 0 and float(y).is_integer()):
+    # an int is taken as it is: it may be past the floats, which log_pmf_array refuses
+    if isinstance(y, (bool, np.bool_)) or not (
+        y >= 0 and (isinstance(y, int) or float(y).is_integer())
+    ):
         raise InvalidModelError(f"count must be >= 0 and an integer, got {y!r}")
     return float(log_pmf_array(model, y))
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dist import (
     CountModel, Geometric, Hurdle, NegBinomial, Poisson, ZeroInflated,
-    _require_model, _table_fits, log_pmf_array,
+    _check_integer, _require_model, _table_fits, log_pmf_array,
 )
 from .errors import AllZerosError, CountFitError, EstimationError, UnderDispersedError
 from .specfn import _digamma, _trigamma, _x_minus_log1p, _x_minus_log1p_series
@@ -82,6 +82,7 @@ class FrequencySample:
         # n - n0 nonzero counts sum to n*mean, at least n - n0 (0 with none);
         # their spread is least when all are equal, so var >= mean^2*n0/(n-n0)
         if not (all(isinstance(v, (int, np.integer)) for v in (n, n0))
+                and bool not in (type(n), type(n0))
                 and 1 <= n and 0 <= n0 <= n and math.isfinite(mean)
                 and mean >= (n - n0) / n and (n0 < n or mean == 0.0)
                 and (var is None or 0.0 <= var < math.inf
@@ -228,8 +229,7 @@ class FitResult:
 
 def aic(loglik: float, n_params: int) -> float:
     """Akaike's information criterion: 2*n_params - 2*loglik."""
-    if n_params < 1:
-        raise CountFitError(f"n_params must be >= 1, got {n_params!r}")
+    _check_integer("n_params", n_params, 1)
     return 2.0 * n_params - 2.0 * loglik
 
 
@@ -541,39 +541,45 @@ def _nb_shape_rows(
     return k
 
 
-# Row fitters: (table, n, n0, mean, var) of a (rows, L) frequency table ->
-# (one array per parameter, mask of the rows the scalar fitter would not
-# reject). Each mask mirrors the conditions under which its scalar fitter
-# raises.
+# Row fitters: (rows, n, n0, mean, var) -> (one array per parameter, mask
+# of the rows the scalar fitter would not reject). The rows are the (rows,
+# L) frequency table of `_summarize_rows`, or past the size rule of
+# `summarize` a list of each row's summarized sample; n0, mean and var are
+# arrays over the rows either way. Only `_rows_nb_mle` reads the rows; the
+# closed forms share their formulas with the scalar fitters. Each mask
+# mirrors the conditions under which its scalar fitter raises.
 
 
-def _rows_poisson(table, n, n0, m, var):
+def _rows_poisson(rows, n, n0, m, var):
     return (m,), np.ones(m.shape, dtype=bool)
 
 
-def _rows_geometric(table, n, n0, m, var):
+def _rows_geometric(rows, n, n0, m, var):
     return (_geometric_p(m),), np.ones(m.shape, dtype=bool)
 
 
-def _rows_zig(table, n, n0, m, var):
+def _rows_zig(rows, n, n0, m, var):
     pi, p, interior = _zig_params(n, n0, m)
     return (pi, p), (m > 0.0) & interior
 
 
-def _rows_hg(table, n, n0, m, var):
+def _rows_hg(rows, n, n0, m, var):
     with np.errstate(divide="ignore", invalid="ignore"):
         pi, p = _hg_params(n, n0, m)
     return (pi, p), (m > 0.0) & (p < 1.0)
 
 
-def _rows_nb_mle(table, n, n0, m, var):
+def _rows_nb_mle(rows, n, n0, m, var):
     ok = (m > 0.0) & (var > m)
     k = np.full(m.shape, np.nan)
-    k[ok] = _nb_shape_rows(table[ok], n, m[ok], var[ok])
+    if isinstance(rows, np.ndarray):
+        k[ok] = _nb_shape_rows(rows[ok], n, m[ok], var[ok])
+    else:
+        k[ok] = [mle_nb(s).model.k for s in compress(rows, ok)]
     return (k / (m + k), k), ok
 
 
-def _rows_nb_moments(table, n, n0, m, var):
+def _rows_nb_moments(rows, n, n0, m, var):
     ok = (m > 0.0) & (var > m)
     with np.errstate(divide="ignore", invalid="ignore"):
         k = _moments_shape(m, var)

@@ -39,12 +39,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import CountModel, _table_fits, log_pmf_array
+from .dist import CountModel, _check_integer, _table_fits, log_pmf_array
 from .errors import (
     CountFitError,
     DegenerateBinningError,
     EstimationError,
-    InvalidModelError,
 )
 from .estimate import FAMILY_TABLE, FitResult, FrequencySample
 from .specfn import chi2_survival
@@ -108,12 +107,6 @@ def _expected(model: CountModel, n: int, ys: np.ndarray) -> tuple[np.ndarray, fl
     """n*pmf over the counts ``ys`` = 0..max_count, and the tail cell's n*(1 - sum)."""
     probs = np.exp(log_pmf_array(model, ys))
     return n * probs, n * max(0.0, 1.0 - float(np.sum(probs)))
-
-
-def _check_integer(name: str, v, least: int) -> None:
-    """Refuse a v that is not an int or numpy integer >= least; bools are refused."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
-        raise InvalidModelError(f"{name} must be >= {least} and an integer, got {v!r}")
 
 
 def expected_counts(model: CountModel, n: int, max_count: int) -> list[float]:

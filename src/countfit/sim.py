@@ -19,8 +19,8 @@ with one sort and at most T + 2 searches (T table cells) instead of n
 lookups. It fits all rows at once with the row fitters of the true model's
 family in `estimate.FAMILY_TABLE`, which match its scalar fitters (closed
 forms bit for bit, the NB shape to roundoff). Past the size rule of
-`summarize` it fits replicate by replicate with the scalar fitters
-instead, so memory stays O(n + replicates*L).
+`summarize` the rows are each replicate's `summarize`d sample instead, so
+memory stays O(n + replicates*L) or O(n + the replicates' distinct counts).
 """
 
 from __future__ import annotations
@@ -150,31 +150,17 @@ def _tally_replicates(rows, b: int, n: int) -> np.ndarray | None:
 def _fit_replicates(draw: _Draw, rngs, b: int, n: int, family: Family) -> dict:
     """method -> (parameter arrays by name, success mask) over b replicates of n values.
 
-    ``rngs()`` yields the replicates' generators afresh on each call. Their
-    rows are fitted as one table by the family's row fitters, or their
-    values one by one by its scalar fitters where that table is too large.
+    ``rngs()`` yields the replicates' generators afresh on each call. The
+    family's row fitters fit the replicates' rows at once: their frequency
+    table, or each replicate's `summarize`d sample where that table is too large.
     """
-    table = _tally_replicates(map(draw.row, rngs()), b, n)
-    if table is not None:
-        stats = _summarize_rows(table)
-        fits = {meth: rows(table, *stats) for meth, (_, rows) in family.fits.items()}
+    rows = _tally_replicates(map(draw.row, rngs()), b, n)
+    if rows is not None:
+        stats = _summarize_rows(rows)
     else:
-        failed = (np.nan,) * family.n_params
-        found: dict[str, list] = {meth: [] for meth in family.fits}
-        for values in map(draw.values, rngs()):
-            s = summarize(values)
-            for meth, (fit_fn, _) in family.fits.items():
-                try:
-                    found[meth].append(fit_fn(s).model._values())
-                except CountFitError:
-                    found[meth].append(None)
-        fits = {
-            meth: (
-                np.array([failed if f is None else f for f in per]).T,
-                np.array([f is not None for f in per]),
-            )
-            for meth, per in found.items()
-        }
+        rows = [summarize(values) for values in map(draw.values, rngs())]
+        stats = n, *(np.array([getattr(s, a) for s in rows]) for a in ("n0", "mean", "var"))
+    fits = {meth: fit(rows, *stats) for meth, (_, fit) in family.fits.items()}
     return {meth: (dict(zip(family.names, cols)), ok) for meth, (cols, ok) in fits.items()}
 
 

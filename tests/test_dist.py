@@ -10,6 +10,7 @@ from likelihood_oracles import pgf
 from countfit.dist import (
     Geometric,
     Hurdle,
+    Moments,
     NegBinomial,
     Poisson,
     ZeroInflated,
@@ -179,6 +180,16 @@ def test_an_integral_count_of_any_number_type_is_taken(y):
         assert log_pmf(model, y) == log_pmf(model, 2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda m: log_pmf(m, 10**400), lambda m: pmf(m, 10**400), lambda m: log_pmf_array(m, [10**400])],
+)
+def test_a_count_past_the_float_range_is_refused(call):
+    # the conversion to float raised a bare OverflowError
+    with pytest.raises(InvalidModelError, match="float range"):
+        call(Poisson(mean=2.0))
+
+
 @pytest.mark.parametrize("call", [lambda: log_pmf_array(object(), [1]), lambda: moments(object())])
 def test_an_object_that_is_no_model_is_refused(call):
     with pytest.raises(InvalidModelError, match="unknown model type object"):
@@ -255,6 +266,50 @@ def test_moments_where_p_squared_underflows(model, mean):
     mom = moments(model)
     assert mom.mean == pytest.approx(mean, rel=1e-12)
     assert mom.variance == math.inf and mom.dispersion == math.inf
+
+
+@pytest.mark.parametrize(
+    "model, mean",
+    [
+        (ZeroInflated(pi=0.2, base=Geometric(p=1e-200)), 0.8e200),
+        (Hurdle(pi=0.2, base=NegBinomial(p=1e-300, k=1.0)), 0.8e300),
+        # deflated: the two variance terms are +inf and -inf
+        (ZeroInflated(pi=-1e-200, base=Geometric(p=1e-200)), 1e200),
+        (ZeroInflated(pi=-1e-158, base=Geometric(p=1e-158)), 1e158),
+    ],
+)
+def test_compound_moments_where_the_mean_squared_overflows(model, mean):
+    # Python's float ** raised OverflowError on the base mean squared
+    mom = moments(model)
+    assert mom.mean == pytest.approx(mean, rel=1e-12)
+    assert mom.variance == math.inf and mom.dispersion == math.inf
+
+
+def test_compound_moments_past_the_mean_squared_stay_exact_where_finite():
+    # pi * mean^2 = 1e20 is finite though mean^2 = 1e320 is not
+    mom = moments(ZeroInflated(pi=1e-300, base=Poisson(mean=1e160)))
+    assert mom.variance == pytest.approx(1e160, rel=1e-12)
+    for model in (ZeroInflated(pi=1.0, base=Geometric(p=1e-200)),
+                  Hurdle(pi=1.0, base=NegBinomial(p=1e-300, k=1.0))):
+        assert moments(model) == Moments(mean=0.0, variance=0.0, dispersion=None)
+
+
+def test_finite_compound_moments_keep_the_bits_of_the_closed_form(rng):
+    # x**2 and x*x can differ in the last bit: the variance keeps **
+    for _ in range(300):
+        model = random_model(rng)
+        if not isinstance(model, (ZeroInflated, Hurdle)):
+            continue
+        base = moments(model.base)
+        mean, var = base.mean, base.variance
+        if isinstance(model, ZeroInflated):
+            w = 1.0 - model.pi
+            want = w * mean, w * var + model.pi * w * mean**2
+        else:
+            alpha = (1.0 - model.pi) / (1.0 - pmf(model.base, 0))
+            want = alpha * mean, alpha * var + alpha * (1.0 - alpha) * mean**2
+        got = moments(model)
+        assert (got.mean, got.variance) == want
 
 
 # --- constructors ----------------------------------------------------------

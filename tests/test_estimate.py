@@ -275,6 +275,8 @@ def test_loglik_trivial():
         (10, 2, 1.0, math.inf),
         (10, 2, 1.0, 0.0),  # eight counts summing to 10 have var >= 0.25
         (10, 2, 1.0, 0.25 * (1.0 - 1e-8)),
+        (True, 0, 1.0, None),  # a bool is no sample size
+        (10, True, 1.0, None),
     ],
 )
 def test_from_summary_refuses_a_summary_no_sample_has(n, n0, mean, var):

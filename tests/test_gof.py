@@ -175,8 +175,16 @@ def test_gof_pvalue_calibration():
 def test_aic():
     assert aic(0.0, 2) == 4.0
     assert aic(-63.768, 2) == pytest.approx(131.536)
+    assert aic(-3.0, np.int64(2)) == 10.0
     with pytest.raises(CountFitError):
         aic(0.0, 0)
+
+
+@pytest.mark.parametrize("n_params", [True, 1.5, 2.0, "2", None])
+def test_aic_refuses_a_parameter_count_that_is_not_a_whole_number(n_params):
+    # True, 1.5 and 2.0 gave 8.0, 9.0 and 10.0
+    with pytest.raises(CountFitError, match="n_params must be >= 1 and an integer"):
+        aic(-3.0, n_params)
 
 
 def test_fitresult_aic_invariant(rng):

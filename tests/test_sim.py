@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import warnings
 
@@ -180,6 +181,26 @@ def test_nb_table_with_a_heavy_tail_is_refused_up_front(model):
     with pytest.raises(CountFitError, match="inverse CDF"):
         sample(model, 5, 0)
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("p", np.geomspace(1e-7, 1e-3, 25).tolist())
+def test_geometric_compounds_sample_or_are_refused_before_any_table(p, monkeypatch):
+    # 2.8e-6 < p < 3.9e-5: the cumsum of a covering table rounds by more than
+    # its 1e-12 tail, so tables were doubled up to the cap before the refusal
+    built = []
+
+    def table(*args, **kwargs):
+        built.append(args)
+        return inverse_cdf_table(*args, **kwargs)
+
+    inverse_cdf_table = dist._inverse_cdf_table
+    monkeypatch.setattr(dist, "_inverse_cdf_table", table)
+    for model in (Hurdle(pi=0.3, base=Geometric(p=p)), ZeroInflated(pi=-p / 2, base=Geometric(p=p))):
+        built.clear()
+        try:
+            assert sample(model, 10, 0).size == 10
+        except CountFitError as exc:
+            assert "cannot sample a geometric" in str(exc) and not built, (model, exc)
 
 
 def test_sample_geometric_p_just_inside_int64():
@@ -399,6 +420,32 @@ def _row(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     values = rng.integers(0, 5, n)  # "huge": one count far past the table rule
     values[0] = 10**12
     return values
+
+
+def _refusing_scalar_fits(family):
+    """The family, with scalar fitters that fail the test when called."""
+    def refuse(s):
+        raise AssertionError(f"{family.name}: a scalar fitter was called")
+    fits = {meth: (refuse, rows) for meth, (_, rows) in family.fits.items()}
+    return dataclasses.replace(family, fits=fits)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_recovery_past_the_size_rule_calls_no_scalar_fitter(seed):
+    rng = np.random.default_rng(seed)
+    kinds = ["huge", *rng.permutation(_ROW_KINDS[:6]).tolist(), "huge"]
+    n = int(rng.integers(2, 200))
+    rows = [_row(kind, n, rng).astype(np.int64) for kind in kinds]
+    b = len(rows)
+    draw = dist._Draw(rows.__getitem__)
+    assert sim._tally_replicates(map(draw.row, range(b)), b, n) is None
+    for family in FAMILY_TABLE.values():
+        want = sim._fit_replicates(draw, lambda: range(b), b, n, family)
+        got = sim._fit_replicates(draw, lambda: range(b), b, n, _refusing_scalar_fits(family))
+        for meth, (params, ok) in want.items():
+            np.testing.assert_array_equal(got[meth][1], ok)
+            for name, values in params.items():
+                np.testing.assert_array_equal(got[meth][0][name], values)
 
 
 @given(
