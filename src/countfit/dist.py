@@ -38,14 +38,6 @@ _TAIL_MASS = 1e-12
 # it serves: 10 million cells, 80 MB as float64.
 _TABLE_CAP = 10_000_000
 
-# The most cells a geometric inverse-CDF table may need. Its cumsum adds
-# terms down to about p*1e-12, 2.8e-11/cells: past this length they fall
-# below 0.8 of half an ulp of a sum near 1, and whether the sum covers all
-# but the 1e-12 tail is the luck of its rounding. Hurdle and deflated ZI
-# tables failed at up to 6.8e5 cells (p = 4.08e-5) and covered at every p
-# scanned from there to 1e-4.
-_GEOMETRIC_TABLE_CELLS = 600_000
-
 # ln(1 - u) at the largest float below 1 that rng.random() returns
 _LOG_U_FLOOR = math.log1p(-(1.0 - 2.0**-53))
 
@@ -156,10 +148,10 @@ class Geometric(_Model):
 
     def _check_table_length(self) -> None:
         """Past L counts the tail is (1-p)^L: the table needs ln(1e-12)/ln(1-p) counts."""
-        if math.log(_TAIL_MASS) / math.log1p(-self.p) > _GEOMETRIC_TABLE_CELLS:
+        if math.log(_TAIL_MASS) / math.log1p(-self.p) > _TABLE_CAP:
             raise CountFitError(
                 f"cannot sample a geometric p={self.p!r} this small by inverse CDF: "
-                f"its table would need more than {_GEOMETRIC_TABLE_CELLS} counts"
+                f"its table would need more than {_TABLE_CAP} counts"
             )
 
     def _sampler(self, n: int) -> _Draw:
@@ -347,12 +339,17 @@ def _scaled_moments(w: float, c: float, mean: float, var: float) -> tuple[float,
 
     Where mean^2 passes the float range, the variance is w*var*(1 + c*mean*(mean/var)):
     a deflation (c < 0) keeps it positive there, where the two terms would
-    give inf - inf, and w = 0 (every count 0) gives 0.
+    give inf - inf. w = 0 (every count 0) gives 0, also where the base's
+    variance is infinite, and an infinite base mean an infinite variance.
     """
-    try:
-        return w * mean, w * var + c * w * mean**2
-    except OverflowError:
-        return w * mean, (w * var * (1.0 + c * mean * (mean / var)) if w else 0.0)
+    if not w:
+        return 0.0, 0.0
+    with np.errstate(over="ignore"):  # numpy floats overflow to inf as Python's * does
+        if math.isfinite(mean * mean):
+            return w * mean, w * var + c * w * mean**2
+        if math.isinf(mean):
+            return w * mean, math.inf
+        return w * mean, w * var * (1.0 + c * mean * (mean / var))
 
 
 def _check_integer(name: str, v, least: int) -> None:
@@ -476,6 +473,11 @@ def _inverse_cdf_table(probs, start: int = 0, n: int | None = None) -> np.ndarra
     values the table serves, the table is None unless its length passes the
     size rule of `summarize` against n; the doubling stops as soon as it
     cannot.
+
+    The laws tabled are unimodal. Up to the mode each term is at least the
+    mean of those before it, so it moves a positive sum; a last term that
+    leaves such a sum unchanged is past the mode, where the terms fall, so
+    no later term moves the sum either and no longer table covers.
     """
     size = 64
     while True:
@@ -486,7 +488,7 @@ def _inverse_cdf_table(probs, start: int = 0, n: int | None = None) -> np.ndarra
             return cum if n is None or _table_fits(cum.size, n) else None
         if n is not None and not _table_fits(size + 1, n):
             return None  # the covering table is longer than this one
-        if size >= _TABLE_CAP:
+        if size >= _TABLE_CAP or 0.0 < cum[-1] == cum[-2]:
             raise CountFitError("inverse-CDF table did not converge")
         size = min(2 * size, _TABLE_CAP)
 

@@ -544,10 +544,11 @@ def _nb_shape_rows(
 # Row fitters: (rows, n, n0, mean, var) -> (one array per parameter, mask
 # of the rows the scalar fitter would not reject). The rows are the (rows,
 # L) frequency table of `_summarize_rows`, or past the size rule of
-# `summarize` a list of each row's summarized sample; n0, mean and var are
-# arrays over the rows either way. Only `_rows_nb_mle` reads the rows; the
-# closed forms share their formulas with the scalar fitters. Each mask
-# mirrors the conditions under which its scalar fitter raises.
+# `summarize` a callable that yields each row's summarized sample afresh;
+# n0, mean and var are arrays over the rows either way. Only `_rows_nb_mle`
+# reads the rows; the closed forms share their formulas with the scalar
+# fitters. Each mask mirrors the conditions under which its scalar fitter
+# raises.
 
 
 def _rows_poisson(rows, n, n0, m, var):
@@ -575,7 +576,7 @@ def _rows_nb_mle(rows, n, n0, m, var):
     if isinstance(rows, np.ndarray):
         k[ok] = _nb_shape_rows(rows[ok], n, m[ok], var[ok])
     else:
-        k[ok] = [mle_nb(s).model.k for s in compress(rows, ok)]
+        k[ok] = [mle_nb(s).model.k for s in compress(rows(), ok)]
     return (k / (m + k), k), ok
 
 

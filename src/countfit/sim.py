@@ -19,8 +19,9 @@ with one sort and at most T + 2 searches (T table cells) instead of n
 lookups. It fits all rows at once with the row fitters of the true model's
 family in `estimate.FAMILY_TABLE`, which match its scalar fitters (closed
 forms bit for bit, the NB shape to roundoff). Past the size rule of
-`summarize` the rows are each replicate's `summarize`d sample instead, so
-memory stays O(n + replicates*L) or O(n + the replicates' distinct counts).
+`summarize` the rows are the replicates' `summarize`d samples instead,
+drawn again one at a time for each pass over them, so memory stays
+O(n + replicates*L) or O(n + replicates).
 """
 
 from __future__ import annotations
@@ -152,14 +153,18 @@ def _fit_replicates(draw: _Draw, rngs, b: int, n: int, family: Family) -> dict:
 
     ``rngs()`` yields the replicates' generators afresh on each call. The
     family's row fitters fit the replicates' rows at once: their frequency
-    table, or each replicate's `summarize`d sample where that table is too large.
+    table, or where that table is too large a callable that draws and
+    `summarize`s the replicates again one at a time, so that no more than
+    one replicate's sample is held at once.
     """
     rows = _tally_replicates(map(draw.row, rngs()), b, n)
     if rows is not None:
         stats = _summarize_rows(rows)
     else:
-        rows = [summarize(values) for values in map(draw.values, rngs())]
-        stats = n, *(np.array([getattr(s, a) for s in rows]) for a in ("n0", "mean", "var"))
+        def rows():
+            return map(summarize, map(draw.values, rngs()))
+
+        stats = n, *map(np.array, zip(*((s.n0, s.mean, s.var) for s in rows())))
     fits = {meth: fit(rows, *stats) for meth, (_, fit) in family.fits.items()}
     return {meth: (dict(zip(family.names, cols)), ok) for meth, (cols, ok) in fits.items()}
 

@@ -276,6 +276,11 @@ def test_moments_where_p_squared_underflows(model, mean):
         # deflated: the two variance terms are +inf and -inf
         (ZeroInflated(pi=-1e-200, base=Geometric(p=1e-200)), 1e200),
         (ZeroInflated(pi=-1e-158, base=Geometric(p=1e-158)), 1e158),
+        # a numpy float's square overflows to inf with no OverflowError
+        (ZeroInflated(pi=-1e-200, base=Geometric(p=np.float64(1e-200))), 1e200),
+        (Hurdle(pi=0.2, base=Poisson(mean=np.float64(1e160))), 0.8e160),
+        # an infinite base mean: inf - inf
+        (ZeroInflated(pi=-5e-324, base=Geometric(p=5e-324)), math.inf),
     ],
 )
 def test_compound_moments_where_the_mean_squared_overflows(model, mean):
@@ -290,7 +295,9 @@ def test_compound_moments_past_the_mean_squared_stay_exact_where_finite():
     mom = moments(ZeroInflated(pi=1e-300, base=Poisson(mean=1e160)))
     assert mom.variance == pytest.approx(1e160, rel=1e-12)
     for model in (ZeroInflated(pi=1.0, base=Geometric(p=1e-200)),
-                  Hurdle(pi=1.0, base=NegBinomial(p=1e-300, k=1.0))):
+                  Hurdle(pi=1.0, base=NegBinomial(p=1e-300, k=1.0)),
+                  # the base's variance is infinite, its mean squares fine: 0 * inf
+                  ZeroInflated(pi=1.0, base=NegBinomial(p=1e-200, k=1e-300))):
         assert moments(model) == Moments(mean=0.0, variance=0.0, dispersion=None)
 
 

@@ -1,6 +1,8 @@
 import dataclasses
+import math
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -183,24 +185,30 @@ def test_nb_table_with_a_heavy_tail_is_refused_up_front(model):
     assert time.perf_counter() - start < 0.5
 
 
-@pytest.mark.parametrize("p", np.geomspace(1e-7, 1e-3, 25).tolist())
-def test_geometric_compounds_sample_or_are_refused_before_any_table(p, monkeypatch):
+@pytest.mark.parametrize("p", [*np.geomspace(1e-7, 1e-3, 25).tolist(), 4.1e-5, 4.5e-5])
+def test_geometric_compounds_sample_or_stop_doubling_at_the_stall(p, monkeypatch):
     # 2.8e-6 < p < 3.9e-5: the cumsum of a covering table rounds by more than
-    # its 1e-12 tail, so tables were doubled up to the cap before the refusal
-    built = []
+    # its 1e-12 tail, and tables were doubled up to the 1e7-cell cap before
+    # the refusal; the terms stop moving the sum within twice the covering
+    # length, so the doubling stops there
+    sizes = []
 
-    def table(*args, **kwargs):
-        built.append(args)
-        return inverse_cdf_table(*args, **kwargs)
+    def table(probs, *args, **kwargs):
+        return inverse_cdf_table(lambda ys: sizes.append(ys.size) or probs(ys), *args, **kwargs)
 
     inverse_cdf_table = dist._inverse_cdf_table
     monkeypatch.setattr(dist, "_inverse_cdf_table", table)
+    covering = math.log(1e-12) / math.log1p(-p)
     for model in (Hurdle(pi=0.3, base=Geometric(p=p)), ZeroInflated(pi=-p / 2, base=Geometric(p=p))):
-        built.clear()
+        sizes.clear()
         try:
             assert sample(model, 10, 0).size == 10
         except CountFitError as exc:
-            assert "cannot sample a geometric" in str(exc) and not built, (model, exc)
+            assert p < 4e-5, (model, exc)  # larger p sampled, and must keep their draws
+            if sizes:
+                assert "did not converge" in str(exc) and max(sizes) < 2 * covering, (model, sizes)
+            else:
+                assert "cannot sample a geometric" in str(exc), (model, exc)
 
 
 def test_sample_geometric_p_just_inside_int64():
@@ -446,6 +454,27 @@ def test_recovery_past_the_size_rule_calls_no_scalar_fitter(seed):
             np.testing.assert_array_equal(got[meth][1], ok)
             for name, values in params.items():
                 np.testing.assert_array_equal(got[meth][0][name], values)
+
+
+@pytest.mark.parametrize(
+    "model", [NegBinomial(p=0.5 / (1e9 + 0.5), k=0.5), Geometric(p=1e-6), Poisson(mean=1e6)]
+)
+def test_recovery_past_the_size_rule_holds_one_replicate_sample_at_a_time(model, monkeypatch):
+    # the samples of all replicates were kept for the row fitters: memory
+    # O(replicates * n) where nearly every value is distinct
+    live = []
+
+    def summarize(values):
+        assert sum(ref() is not None for ref in live) <= 1
+        s = real_summarize(values)
+        live.append(weakref.ref(s))
+        return s
+
+    real_summarize = sim.summarize
+    want = recovery_experiment(model, 50, 6, 3)
+    monkeypatch.setattr(sim, "summarize", summarize)
+    assert recovery_experiment(model, 50, 6, 3) == want
+    assert len(live) >= 6
 
 
 @given(
